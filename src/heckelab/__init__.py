@@ -39,6 +39,7 @@ from .errors import (
     NotGeneratingModP,
     NotSquarefree,
     NotSubdirect,
+    OrderAmbiguous,
     PrecisionExhausted,
     PrecisionInsufficient,
 )

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -28,6 +27,7 @@ from .errors import (
     NoConvergence,
     NotElliptic,
     NotSquarefree,
+    OrderAmbiguous,
     PrecisionExhausted,
 )
 from .galois import (
@@ -57,7 +57,7 @@ _USAGE_ERRORS = (ValueError, NotSquarefree, LevelTooLarge, BadDeterminant,
                  BadReduction, NotElliptic, IncompatibleLevel,
                  json.JSONDecodeError)
 _INCONCLUSIVE_ERRORS = (PrecisionExhausted, NoConvergence, IllConditioned,
-                        EvidenceInsufficient)
+                        EvidenceInsufficient, OrderAmbiguous)
 
 
 def _parse_complex(text: str):
@@ -76,6 +76,16 @@ def _verdict_exit(verdict: str) -> int:
     return {"pass": OK, "fail": FAIL}.get(verdict, INCONCLUSIVE)
 
 
+def _thread_count(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _common_flags(sub):
     sub.add_argument("--seed", type=int, default=0,
                      help="seed for randomized trials (default 0)")
@@ -83,8 +93,8 @@ def _common_flags(sub):
                      help="working precision for series evaluation")
     sub.add_argument("--tolerance", type=float, default=None,
                      help="override the subcommand's default tolerance")
-    sub.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                     help="worker count; never changes the output")
+    sub.add_argument("--threads", type=_thread_count, default=1,
+                     help="accepted for compatibility; nothing reads it")
     sub.add_argument("--output", default=None,
                      help="also write the JSON document to this path")
     return sub
@@ -239,14 +249,12 @@ def _run_axiom(args):
 
 
 def _run_frobenius(args):
-    sample = frobenius_sample(parse_curve(args.curve), args.upto,
-                              threads=args.threads)
+    sample = frobenius_sample(parse_curve(args.curve), args.upto)
     return {"curve": args.curve, "upto": args.upto}, sample.to_dict(), OK
 
 
 def _run_image(args):
-    cert = certify_mod_p_image(parse_curve(args.curve), args.p, args.upto,
-                               threads=args.threads)
+    cert = certify_mod_p_image(parse_curve(args.curve), args.p, args.upto)
     code = INCONCLUSIVE if cert.verdict == "Inconclusive" else OK
     params = {"curve": args.curve, "p": args.p, "upto": args.upto}
     return params, cert.to_dict(), code
@@ -313,7 +321,7 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    # thread count deliberately omitted: reports are identical across it
+    # --threads is read by nothing, so it stays out of the config
     doc = {
         "command": args.command,
         "config": {

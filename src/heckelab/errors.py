@@ -55,3 +55,8 @@ class NotSubdirect(HeckeLabError):
 
 class EvidenceInsufficient(HeckeLabError):
     """No image estimate is available at the requested level."""
+
+
+class OrderAmbiguous(HeckeLabError, ArithmeticError):
+    """Baby-step giant-step point counting left more than one group order
+    in the Hasse interval, above the range of the exhaustive fallback."""

@@ -15,14 +15,20 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, isqrt
+from functools import cached_property, lru_cache
+from math import isqrt
 
 from .congruence import sl2_order
-from .errors import BadDeterminant, BadReduction, NotSubdirect
+from .errors import BadDeterminant, BadReduction, NotSubdirect, OrderAmbiguous
 
 EXHAUSTIVE_LIMIT = 10 ** 5
 BSGS_LIMIT = 10 ** 7
+# "auto" counts exhaustively below this prime and by BSGS from it on: the
+# per-prime costs of the two cross between 250 and 350, at about 0.09 ms
+# (CPython 3.11, 2-core x86-64 VM).  Above 229 the curve or its twist
+# always has points that pin the group order (Mestre), so "auto" reaches
+# the exhaustive fallback only if 40 random points all miss them.
+BSGS_CUTOFF = 300
 CERTIFIABLE_PRIMES = (5, 7, 11, 13)
 LIFTING_PRIMES = (5, 7)
 
@@ -76,6 +82,24 @@ class EllipticCurve:
         c6 = -b2 ** 3 + 36 * b2 * b4 - 216 * b6
         return -27 * c4, -54 * c6
 
+    @cached_property
+    def _int_model(self):
+        """(numerator, denominator) of a1..a6 and of the short model (A, B),
+        plus the discriminant's numerator: everything reduction mod ell
+        reads, so the per-prime work is int arithmetic."""
+        coeffs = tuple((a.numerator, a.denominator) for a in
+                       (self.a1, self.a2, self.a3, self.a4, self.a6))
+        short = tuple((v.numerator, v.denominator) for v in self.short_model())
+        return coeffs, short, self.discriminant().numerator
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self):
+        # the dataclass hash, computed once: _a_ell hashes the curve per ell
+        return hash((self.a1, self.a2, self.a3, self.a4, self.a6))
+
     def quadratic_twist(self, d: int) -> "EllipticCurve":
         A, B = self.short_model()
         return EllipticCurve(0, 0, 0, A * d * d, B * d ** 3)
@@ -97,13 +121,15 @@ def parse_curve(text: str) -> EllipticCurve:
 
 
 def _reduce_coeffs(curve, ell):
+    coeffs, _, disc_num = curve._int_model
     vals = []
-    for a in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6):
-        if a.denominator % ell == 0:
+    for num, den in coeffs:
+        if den % ell == 0:
             raise BadReduction(f"model not integral at {ell}")
-        vals.append(a.numerator * pow(a.denominator, -1, ell) % ell)
-    disc = curve.discriminant()
-    if disc.numerator * pow(disc.denominator, -1, ell) % ell == 0:
+        vals.append(num * pow(den, -1, ell) % ell)
+    # the discriminant's denominator divides a product of the coefficient
+    # denominators, so it is a unit mod ell once those are
+    if disc_num % ell == 0:
         raise BadReduction(f"bad reduction at {ell}")
     return vals
 
@@ -131,10 +157,14 @@ def _count_exhaustive(curve, ell):
     b2 = (a1 * a1 + 4 * a2) % ell
     b4 = (2 * a4 + a1 * a3) % ell
     b6 = (a3 * a3 + 4 * a6) % ell
-    total = 0
-    for x in range(ell):
-        total += _chi(((4 * x + b2) * x + 2 * b4) * x + b6, ell)
-    return -total
+    # chi read from a table of squares: 0 at 0, 1 on squares, -1 elsewhere
+    chi = [-1] * ell
+    for y in range(1, (ell + 1) // 2):
+        chi[y * y % ell] = 1
+    chi[0] = 0
+    c = 2 * b4
+    return -sum([chi[(((4 * x + b2) * x + c) * x + b6) % ell]
+                 for x in range(ell)])
 
 
 class _ShortCurve:
@@ -144,10 +174,6 @@ class _ShortCurve:
         self.A = A % ell
         self.B = B % ell
         self.ell = ell
-
-    def on_curve(self, P):
-        x, y = P
-        return (y * y - (x * x * x + self.A * x + self.B)) % self.ell == 0
 
     def add(self, P, Q):
         ell = self.ell
@@ -216,57 +242,40 @@ def _sqrt_mod(v, ell):
     return r
 
 
-def _bsgs_annihilator(curve_ops, P, lo, hi):
-    """Smallest m in [lo, hi] with m*P = O (exists: the group order is
-    in the Hasse interval)."""
-    width = hi - lo + 1
-    mb = isqrt(width) + 1
+def _annihilators(curve_ops, P, lo, hi):
+    """Every m in [lo, hi] with m*P = O, by baby steps jP (0 <= j < mb)
+    and giant steps (lo + k*mb)P; the group order is among them."""
+    mb = isqrt(hi - lo + 1) + 1
     baby = {}
     Q = None
-    for jj in range(mb):
-        if Q is None:
-            baby[None] = jj
-        else:
-            baby.setdefault(Q, jj)
+    for j in range(mb):
+        if Q is None and j:
+            # P has order j < mb: its multiples are all the annihilators
+            return range(lo + (-lo) % j, hi + 1, j)
+        baby[Q] = j
         Q = curve_ops.add(Q, P)
-    step = curve_ops.mul(mb, P)
+    found = []
     R = curve_ops.mul(lo, P)
     for k in range(mb + 1):
-        # solve (lo + k*mb + j) P = O, i.e. R = -jP
-        target = None if R is None else (R[0], (-R[1]) % curve_ops.ell)
-        if target in baby:
-            m = lo + k * mb + baby[target]
-            if m <= hi:
-                return m
-        R = curve_ops.add(R, step)
-    raise AssertionError("annihilator search exhausted the Hasse interval")
-
-
-def _exact_order(curve_ops, P, multiple):
-    order = multiple
-    f = 2
-    rest = multiple
-    while f * f <= rest:
-        while rest % f == 0:
-            rest //= f
-            if curve_ops.mul(order // f, P) is None:
-                order //= f
-        f += 1
-    if rest > 1 and curve_ops.mul(order // rest, P) is None:
-        order //= rest
-    return order
+        # (lo + k*mb + j) P = O  iff  R = -jP; baby points are distinct
+        target = None if R is None else (R[0], -R[1] % curve_ops.ell)
+        j = baby.get(target)
+        if j is not None and lo + k * mb + j <= hi:
+            found.append(lo + k * mb + j)
+        R = curve_ops.add(R, Q)
+    return found
 
 
 def _count_bsgs(curve, ell):
-    """Group order via Mestre's method: lcm of exact point orders on the
-    curve and a quadratic twist pins a unique candidate in the Hasse
-    interval.  Falls back to the exhaustive count if tiny-group ambiguity
-    survives (only possible for small ell)."""
+    """Group order via Mestre's method: N = #E is annihilated by every
+    point of the curve, and 2ell+2-N by every point of a quadratic twist,
+    so intersecting the annihilators of random points in the Hasse
+    interval pins N.  Falls back to the exhaustive count if tiny-group
+    ambiguity survives (only possible for small ell)."""
     if ell < 5:
         return _count_exhaustive(curve, ell)
     _reduce_coeffs(curve, ell)
-    A, B = (int(v.numerator * pow(v.denominator, -1, ell)) % ell
-            for v in curve.short_model())
+    A, B = (num * pow(den, -1, ell) % ell for num, den in curve._int_model[1])
     d = 2
     while _chi(d, ell) != -1:
         d += 1
@@ -275,36 +284,38 @@ def _count_bsgs(curve, ell):
     s = isqrt(4 * ell)
     lo, hi = ell + 1 - s, ell + 1 + s
     rng = random.Random(ell * 1000003 + A * 31 + B)
-    exp_e, exp_t = 1, 1
+    cands = set(range(lo, hi + 1))
     for attempt in range(40):
-        ops = E if attempt % 2 == 0 else Etw
-        P = ops.random_point(rng)
-        m = _bsgs_annihilator(ops, P, lo, hi)
-        o = _exact_order(ops, P, m)
         if attempt % 2 == 0:
-            exp_e = exp_e * o // gcd(exp_e, o)
+            cands.intersection_update(
+                _annihilators(E, E.random_point(rng), lo, hi))
         else:
-            exp_t = exp_t * o // gcd(exp_t, o)
-        # candidates N for #E: N = 0 mod exp_e and 2ell+2-N = 0 mod exp_t
-        cands = [n for n in range(lo + (-lo) % exp_e, hi + 1, exp_e)
-                 if (2 * ell + 2 - n) % exp_t == 0]
+            cands.intersection_update(
+                2 * ell + 2 - m
+                for m in _annihilators(Etw, Etw.random_point(rng), lo, hi))
         if len(cands) == 1:
-            return ell + 1 - cands[0]
+            return ell + 1 - cands.pop()
+        if not cands:
+            raise AssertionError(f"no group order left at {ell}")
     if ell <= EXHAUSTIVE_LIMIT:
         return _count_exhaustive(curve, ell)
-    raise ArithmeticError(f"order ambiguity persisted at {ell}")
+    raise OrderAmbiguous(f"order ambiguity persisted at {ell}")
 
 
 def count_points(curve: EllipticCurve, ell: int, method: str = "auto") -> int:
     """Trace of Frobenius a_ell = ell + 1 - #E(F_ell).
 
-    method "exhaustive" scans the x-line (ell <= 1e5), "bsgs" uses
-    baby-step giant-step order finding (ell <= 1e7), "auto" picks by size.
+    method "exhaustive" sums the quadratic character over the x-line
+    (ell <= 1e5); "bsgs" uses baby-step giant-step order finding
+    (ell <= 1e7) and falls back to the exhaustive sum when the group order
+    stays ambiguous; "auto" is exhaustive below BSGS_CUTOFF and bsgs from
+    it on.  The two methods share no counting code, so each is the
+    other's check.
     """
     if ell < 2:
         raise ValueError(f"ell must be a prime, got {ell}")
     if method == "auto":
-        method = "exhaustive" if ell <= EXHAUSTIVE_LIMIT else "bsgs"
+        method = "exhaustive" if ell < BSGS_CUTOFF else "bsgs"
     if method == "exhaustive":
         if ell > EXHAUSTIVE_LIMIT:
             raise ValueError(f"exhaustive count limited to {EXHAUSTIVE_LIMIT}")
@@ -335,26 +346,15 @@ class FrobeniusSample:
                 "samples": [list(s) for s in self.samples]}
 
 
-def frobenius_sample(curve: EllipticCurve, bound: int,
-                     threads: int = 1) -> FrobeniusSample:
-    """a_ell for every prime of good reduction up to bound.  Worker count
-    never affects the result; rows merge in ell order."""
-    prs = primes_upto(bound)
-
-    def one(ell):
+def frobenius_sample(curve: EllipticCurve, bound: int) -> FrobeniusSample:
+    """a_ell for every prime of good reduction up to bound, ascending."""
+    rows = []
+    for ell in primes_upto(bound):
         try:
-            return ell, _a_ell(curve, ell)
+            rows.append((ell, _a_ell(curve, ell)))
         except BadReduction:
-            return None
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, prs))
-    else:
-        rows = [one(ell) for ell in prs]
-    samples = tuple(sorted(r for r in rows if r is not None))
-    return FrobeniusSample(str(curve), bound, samples)
+            pass
+    return FrobeniusSample(str(curve), bound, tuple(rows))
 
 
 # -- maximal-subgroup exclusion predicates ---------------------------------
@@ -412,8 +412,8 @@ def _borel_patterns(samples, p):
     return good
 
 
-def certify_mod_p_image(curve: EllipticCurve, p: int, bound: int,
-                        threads: int = 1) -> ImageCertificate:
+def certify_mod_p_image(curve: EllipticCurve, p: int,
+                        bound: int) -> ImageCertificate:
     """Certify the mod-p image of the Galois action on p-torsion.
 
     Surjective is sound: every maximal-subgroup class carries a witness
@@ -421,16 +421,27 @@ def certify_mod_p_image(curve: EllipticCurve, p: int, bound: int,
     Containment verdicts summarize the evidence pattern and are not
     proofs of containment.
     """
+    return _certify_image(curve, p, bound)[0]
+
+
+def _certify_image(curve, p, bound):
+    """The certificate and the (ell, a_ell) rows, ell != p, it rests on
+    (none when p divides the discriminant)."""
     if p not in CERTIFIABLE_PRIMES:
         raise ValueError(f"p must be in {CERTIFIABLE_PRIMES}, got {p}")
     if bound < 10 ** 3:
         raise ValueError(f"bound must be at least 1000, got {bound}")
     disc = curve.discriminant()
     if (disc.numerator * disc.denominator) % p == 0:
+        reason = f"p = {p} divides the discriminant"
         return ImageCertificate(p, bound, "Inconclusive", {},
-                                {"reason": f"p = {p} divides the discriminant"})
-    sample = frobenius_sample(curve, bound, threads=threads)
-    rows = [(ell, a) for ell, a in sample.samples if ell != p]
+                                {"reason": reason}), []
+    rows = [(ell, a) for ell, a in frobenius_sample(curve, bound).samples
+            if ell != p]
+    return _image_from_rows(p, bound, rows), rows
+
+
+def _image_from_rows(p, bound, rows):
     witnesses = {}
     for ell, a in rows:
         for cls in OBSTRUCTION_CLASSES:
@@ -496,17 +507,14 @@ def certify_goursat_pair(curve1: EllipticCurve, curve2: EllipticCurve,
     good ell separates the traces mod p beyond sign.  Graphs of
     isomorphisms between the factors preserve traces up to sign, so such
     an ell rules out every proper fiber product."""
-    c1 = certify_mod_p_image(curve1, p, bound)
-    c2 = certify_mod_p_image(curve2, p, bound)
+    c1, rows1 = _certify_image(curve1, p, bound)
+    c2, rows2 = _certify_image(curve2, p, bound)
     factors = (c1.verdict, c2.verdict)
     if c1.verdict != "Surjective" or c2.verdict != "Surjective":
         return GoursatCertificate(p, bound, "Inconclusive", None, factors)
-    s1 = dict(frobenius_sample(curve1, bound).samples)
-    s2 = dict(frobenius_sample(curve2, bound).samples)
+    s1, s2 = dict(rows1), dict(rows2)
     matched = negated = 0
     for ell in sorted(set(s1) & set(s2)):
-        if ell == p:
-            continue
         a, b = s1[ell] % p, s2[ell] % p
         if a != b and a != (-b) % p:
             witness = {"ell": ell, "a1_mod_p": a, "a2_mod_p": b}

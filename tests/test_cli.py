@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from heckelab import cli
+from heckelab import cli, galois
+from heckelab.errors import OrderAmbiguous
 
 
 def run(capsys, argv):
@@ -163,6 +164,31 @@ def test_usage_exit_from_argparse():
     with pytest.raises(SystemExit) as exc:
         cli.main(["image", "[0,-1,1,0,0]"])  # missing --p
     assert exc.value.code == 2
+
+
+def test_threads_below_one_is_usage_error(capsys):
+    for t in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["frobenius", "[0,0,1,-1,0]", "--upto", "100",
+                      "--threads", t])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--threads" in captured.err
+
+
+def test_order_ambiguity_is_inconclusive(monkeypatch, capsys):
+    def ambiguous(curve, ell):
+        raise OrderAmbiguous(f"order ambiguity persisted at {ell}")
+
+    monkeypatch.setattr(galois, "_count_bsgs", ambiguous)
+    galois._a_ell.cache_clear()
+    code = cli.main(["frobenius", "[0,0,0,-2,3]",
+                     "--upto", str(galois.BSGS_CUTOFF + 100)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "inconclusive: order ambiguity" in captured.err
 
 
 def test_output_file_matches_stdout(tmp_path, capsys):

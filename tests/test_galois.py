@@ -3,9 +3,17 @@ import random
 
 import pytest
 
+from heckelab import galois
 from heckelab.congruence import enumerate_sl2
-from heckelab.errors import BadDeterminant, BadReduction, NotSubdirect
+from heckelab.errors import (
+    BadDeterminant,
+    BadReduction,
+    NotSubdirect,
+    OrderAmbiguous,
+)
 from heckelab.galois import (
+    BSGS_CUTOFF,
+    EXHAUSTIVE_LIMIT,
     EllipticCurve,
     certify_goursat_pair,
     certify_mod_p_image,
@@ -95,6 +103,51 @@ def test_dual_agreement_random_curves():
         tried += 1
 
 
+def test_auto_matches_exhaustive_across_cutoff(monkeypatch):
+    rng = random.Random(17)
+    curves = [E_11A3, E_37A1]
+    while len(curves) < 5:
+        try:
+            curves.append(EllipticCurve(*(rng.randrange(-30, 31)
+                                          for _ in range(5))))
+        except ValueError:
+            continue
+    exhaustive = galois._count_exhaustive
+    truth = {}
+    for curve in curves:
+        for ell in primes_upto(3000):
+            try:
+                truth[curve, ell] = count_points(curve, ell, "exhaustive")
+            except BadReduction:
+                continue
+            assert count_points(curve, ell) == truth[curve, ell]
+    assert any(ell >= BSGS_CUTOFF for _, ell in truth)
+    # at a few ell below the cutoff bsgs cannot pin the group order; its
+    # fallback is the only call it makes to the exhaustive sum for ell >= 5
+    fallbacks = []
+
+    def spy(curve, ell):
+        fallbacks.append(ell)
+        return exhaustive(curve, ell)
+
+    monkeypatch.setattr(galois, "_count_exhaustive", spy)
+    for (curve, ell), a in truth.items():
+        if 5 <= ell < BSGS_CUTOFF:
+            assert count_points(curve, ell, "bsgs") == a
+    assert fallbacks
+
+
+def test_bsgs_ambiguity_above_exhaustive_limit(monkeypatch):
+    # with every point annihilated by everything, no order is ever pinned
+    monkeypatch.setattr(galois, "_annihilators",
+                        lambda ops, P, lo, hi: range(lo, hi + 1))
+    ell = primes_upto(EXHAUSTIVE_LIMIT + 100)[-1]
+    assert ell > EXHAUSTIVE_LIMIT
+    with pytest.raises(OrderAmbiguous, match="ambiguity"):
+        count_points(E_37A1, ell, "bsgs")
+    assert issubclass(OrderAmbiguous, ArithmeticError)
+
+
 def test_bad_reduction():
     with pytest.raises(BadReduction):
         count_points(E_11A3, 11)
@@ -118,12 +171,6 @@ def test_sample_excludes_bad_primes_and_sorts():
     assert 11 not in ells
     assert ells == sorted(ells)
     assert set(ells) | {11} == set(primes_upto(100))
-
-
-def test_sample_thread_count_invariant():
-    one = frobenius_sample(E_37A1, 200, threads=1)
-    four = frobenius_sample(E_37A1, 200, threads=4)
-    assert one == four
 
 
 def test_borel_containment_mod_5():
