@@ -11,9 +11,11 @@ checks (axioms), Frobenius sampling and mod-p image certificates
 
 from .axioms import AxiomReport, check_mod1, check_mod2, check_sf, check_sp
 from .congruence import (
+    CosetSpace,
     FiniteMatrixGroup,
     GroupDescriptor,
     Subgroup,
+    closure,
     compatibility_divisor,
     enumerate_sl2,
     image_at_level,
@@ -96,7 +98,6 @@ from .moebius import (
     stabilizer_is_trivial,
 )
 from .typecount import (
-    CosetSpace,
     TypeCountReport,
     count_orbits,
     regular_space,

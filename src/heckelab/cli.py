@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .axioms import check_mod1, check_mod2, check_sf, check_sp
-from .congruence import Subgroup, enumerate_sl2
+from .congruence import MAX_LEVEL, closure
 from .errors import (
     BadDeterminant,
     BadReduction,
@@ -302,10 +302,10 @@ def _run_types(args):
     if args.gens is not None and args.curve:
         raise ValueError("--gens and --curve are mutually exclusive")
     if args.gens is not None:
-        fmg = enumerate_sl2(args.level)
-        gens = [tuple(v % args.level for v in g)
-                for g in _parse_gens(args.gens, args.level)]
-        subject = Subgroup.generated(fmg, gens).elements
+        if args.level > MAX_LEVEL:
+            raise LevelTooLarge(f"N={args.level} exceeds the scan bound "
+                                f"{MAX_LEVEL}")
+        subject = closure(_parse_gens(args.gens, args.level), args.level)
     elif len(args.curve) == 1:
         subject = parse_curve(args.curve[0])
     elif len(args.curve) == 2:

@@ -2,9 +2,10 @@
 
 GroupDescriptor names a subgroup symbolically (full group, Gamma(N),
 Gamma0(N), Gamma1(N), or an intersection of a base group with conjugates
-g_i^-1 . g_i).  Finite quotients are handled by enumerating SL2(Z/N)
+g_i^-1 . g_i).  Images of descriptors are found by enumerating SL2(Z/N)
 outright and lifting elements back to SL2(Z), which keeps every image and
-index computation exact at the cost of an O(N^3) scan.
+index computation exact at the cost of an O(N^3) scan.  Subgroups given
+by generators are closed up by `closure`, which needs no enumeration.
 """
 
 from __future__ import annotations
@@ -294,6 +295,43 @@ def _bezout(x: int, y: int) -> tuple[int, int]:
     return s0, t0
 
 
+def closure(gens, N: int) -> set:
+    """The subgroup of SL2(Z/N) generated by gens, as residue 4-tuples.
+
+    Depth-first from the identity under right multiplication by the
+    generators; in a finite group the monoid they generate is the group,
+    so no inverses are needed.  Nothing enumerates SL2(Z/N), so N may
+    exceed MAX_LEVEL.  The product is written out because this is the hot
+    loop of every closure in the package.
+    """
+    gens = [tuple(v % N for v in g) for g in gens]
+    one = (1 % N, 0, 0, 1 % N)
+    seen, stack = {one}, [one]
+    while stack:
+        a, b, c, d = stack.pop()
+        for e, f, g, h in gens:
+            m = ((a * e + b * g) % N, (a * f + b * h) % N,
+                 (c * e + d * g) % N, (c * f + d * h) % N)
+            if m not in seen:
+                seen.add(m)
+                stack.append(m)
+    return seen
+
+
+class CosetSpace:
+    """Left-translation action of a matrix group on cosets g*K, with
+    minimum-of-coset canonical representatives."""
+
+    def __init__(self, fmg, stabilizer=None):
+        self.fmg = fmg
+        k = tuple(stabilizer) if stabilizer is not None else (fmg.identity,)
+        self.rep_of = {g: min(fmg.mul(g, s) for s in k) for g in fmg.elements}
+        self.points = tuple(sorted(set(self.rep_of.values())))
+
+    def act(self, h, x):
+        return self.rep_of[self.fmg.mul(h, x)]
+
+
 class Subgroup:
     """Enumerated subgroup of a FiniteMatrixGroup."""
 
@@ -307,18 +345,7 @@ class Subgroup:
     @classmethod
     def generated(cls, parent: FiniteMatrixGroup, generators):
         gens = [tuple(v % parent.N for v in g) for g in generators]
-        seen = {parent.identity}
-        frontier = [parent.identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = parent.mul(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return cls(parent, seen, gens)
+        return cls(parent, closure(gens, parent.N), gens)
 
     def __contains__(self, m):
         return m in self.elements

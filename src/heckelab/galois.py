@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isqrt
 
-from .congruence import sl2_order
+from .congruence import CosetSpace, closure, sl2_order
 from .errors import BadDeterminant, BadReduction, NotSubdirect, OrderAmbiguous
 
 EXHAUSTIVE_LIMIT = 10 ** 5
@@ -530,24 +530,6 @@ def certify_goursat_pair(curve1: EllipticCurve, curve2: EllipticCurve,
 
 # -- lifting mod p^2 --------------------------------------------------------
 
-def _mat_mul_mod(x, y, m):
-    return ((x[0] * y[0] + x[1] * y[2]) % m, (x[0] * y[1] + x[1] * y[3]) % m,
-            (x[2] * y[0] + x[3] * y[2]) % m, (x[2] * y[1] + x[3] * y[3]) % m)
-
-
-def _closure(gens, m):
-    seen = {(1, 0, 0, 1)}
-    frontier = [(1, 0, 0, 1)]
-    while frontier:
-        g = frontier.pop()
-        for h in gens:
-            v = _mat_mul_mod(g, h, m)
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    return seen
-
-
 def _flatten(mat, m):
     if hasattr(mat, "entries"):
         vals = mat.entries()
@@ -586,8 +568,8 @@ def lifting_check(p: int, generators) -> LiftingReport:
         raise ValueError(f"p must be in {LIFTING_PRIMES}, got {p}")
     m = p * p
     gens = [_flatten(g, m) for g in generators]
-    group = _closure(gens, m)
-    mod_p = _closure([tuple(v % p for v in g) for g in gens], p)
+    group = closure(gens, m)
+    mod_p = closure(gens, p)
     return LiftingReport(p, len(group), len(group) == sl2_order(m),
                          len(mod_p) == sl2_order(p))
 
@@ -630,15 +612,11 @@ def goursat_decompose(pairs, fmg1, fmg2) -> GoursatDecomposition:
         return GoursatDecomposition("full", tuple(sorted(n1)),
                                     tuple(sorted(n2)),
                                     1, {})
-    def coset1(g):
-        return min(fmg1.mul(g, n) for n in n1)
-
-    def coset2(g):
-        return min(fmg2.mul(g, n) for n in n2)
-
+    coset1 = CosetSpace(fmg1, n1).rep_of
+    coset2 = CosetSpace(fmg2, n2).rep_of
     iso = {}
     for a, b in H:
-        ca, cb = coset1(a), coset2(b)
+        ca, cb = coset1[a], coset2[b]
         if iso.setdefault(ca, cb) != cb:
             raise AssertionError("H is not the graph of a map on cosets")
     if len(set(iso.values())) != len(iso):
@@ -657,7 +635,7 @@ def goursat_decompose(pairs, fmg1, fmg2) -> GoursatDecomposition:
     else:
         pairs_iter = ((x, y) for x in hl for y in hl)
     for (a, b), (c, d) in pairs_iter:
-        if iso[coset1(fmg1.mul(a, c))] != coset2(fmg2.mul(b, d)):
+        if iso[coset1[fmg1.mul(a, c)]] != coset2[fmg2.mul(b, d)]:
             raise AssertionError("coset map is not a homomorphism")
     return GoursatDecomposition("graph", tuple(sorted(n1)), tuple(sorted(n2)),
                                 q, iso)

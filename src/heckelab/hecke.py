@@ -161,8 +161,8 @@ class ModularPolynomial:
     @classmethod
     def from_text(cls, text: str) -> "ModularPolynomial":
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        head = lines[0].split()
-        if head[0] != "MODPOLY":
+        head = lines[0].split() if lines else []
+        if len(head) != 4 or head[0] != "MODPOLY":
             raise ValueError("missing MODPOLY header")
         n, degX, degY = int(head[1]), int(head[2]), int(head[3])
         coeffs = {}
@@ -273,7 +273,10 @@ def cached_modular_polynomial(n: int, cache_dir: str | None = None) -> ModularPo
     if cache_dir:
         path = os.path.join(cache_dir, f"modpoly_{n}.txt")
         if os.path.exists(path):
-            return load_modpoly(path)
+            phi = load_modpoly(path)
+            if phi.n != n:
+                raise ValueError(f"{path} holds Phi_{phi.n}, not Phi_{n}")
+            return phi
         phi = modular_polynomial(n)
         os.makedirs(cache_dir, exist_ok=True)
         save_modpoly(phi, path)

@@ -29,12 +29,13 @@ def series_pow(f: list, e: int, K: int) -> list:
     """f**e truncated to K terms, by binary powering."""
     result = [1] + [0] * (K - 1)
     base = list(f[:K]) + [0] * max(0, K - len(f))
-    while e:
+    while True:
         if e & 1:
             result = series_mul(result, base, K)
-        base = series_mul(base, base, K)
         e >>= 1
-    return result
+        if not e:
+            return result
+        base = series_mul(base, base, K)
 
 
 def series_inv(f: list, K: int) -> list:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .congruence import enumerate_sl2, sl2_order
+from .congruence import CosetSpace, enumerate_sl2, sl2_order
 from .errors import EvidenceInsufficient
 from .galois import EllipticCurve, certify_goursat_pair, certify_mod_p_image
 
@@ -25,20 +25,6 @@ _CONSISTENT_ORDER = {
     "ContainedInNormalizerCartan(nonsplit)": lambda p: 2 * (p + 1),
     "ExceptionalPossible": lambda p: {5: 24, 7: 48, 11: 120, 13: 24}[p],
 }
-
-
-class CosetSpace:
-    """Left-translation action of a matrix group on cosets g*K, with
-    minimum-of-coset canonical representatives."""
-
-    def __init__(self, fmg, stabilizer=None):
-        self.fmg = fmg
-        k = tuple(stabilizer) if stabilizer is not None else (fmg.identity,)
-        self.rep_of = {g: min(fmg.mul(g, s) for s in k) for g in fmg.elements}
-        self.points = tuple(sorted(set(self.rep_of.values())))
-
-    def act(self, h, x):
-        return self.rep_of[self.fmg.mul(h, x)]
 
 
 def count_orbits(h_elements, space: CosetSpace) -> int:

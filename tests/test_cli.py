@@ -193,6 +193,42 @@ def test_malformed_gens_are_usage_errors(argv, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_types_gens_level_above_scan_bound(capsys):
+    argv = ["types", "--gens", "[[[1,1],[0,1]]]", "--level", "31"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the scan bound 30" in captured.err
+
+
+def test_modpoly_cache_for_other_n_is_usage_error(tmp_path, monkeypatch,
+                                                  capsys):
+    from heckelab.hecke import modular_polynomial
+    monkeypatch.setenv("HECKE_LAB_CACHE", str(tmp_path))
+    cache = tmp_path / "modpoly_2.txt"
+    for text, message in ((modular_polynomial(3).to_text(), "holds Phi_3"),
+                          ("", "missing MODPOLY header")):
+        cache.write_text(text)
+        assert cli.main(["modpoly", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
+def test_closures_never_enumerate_sl2(monkeypatch, capsys):
+    from heckelab import congruence, typecount
+
+    def spy(*args, **kwargs):
+        raise AssertionError("enumerate_sl2 called")
+    for module in (congruence, cli, typecount):
+        monkeypatch.setattr(module, "enumerate_sl2", spy, raising=False)
+    assert run(capsys, ["lifting", "--p", "7"])[0] == 0
+    code, doc = run(capsys, ["types", "--gens",
+                             "[[[1,1],[0,1]],[[1,0],[1,1]]]", "--level", "30"])
+    assert code == 0
+    assert doc["report"]["index"] == 1
+
+
 def test_usage_exit_from_argparse():
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])

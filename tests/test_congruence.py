@@ -8,6 +8,7 @@ from heckelab.congruence import (
     FiniteMatrixGroup,
     Subgroup,
     cap,
+    closure,
     compatibility_divisor,
     enumerate_sl2,
     format_group,
@@ -94,6 +95,18 @@ def test_parent_generators_generate():
         fmg = enumerate_sl2(N)
         sub = Subgroup.generated(fmg, parent_generators(fmg))
         assert len(sub) == len(fmg)
+
+
+def test_closure_is_a_subgroup():
+    rng = random.Random(4)
+    for N in (1, 6, 12, 25):
+        fmg = enumerate_sl2(N)
+        for _ in range(4):
+            gens = rng.sample(fmg.elements, min(2, len(fmg)))
+            H = closure(gens, N)
+            assert H <= set(fmg.elements)
+            assert all(fmg.mul(h, g) in H for h in H for g in gens)
+            assert sl2_order(N) % len(H) == 0
 
 
 def test_lift_round_trip():

@@ -173,6 +173,10 @@ def test_from_text_validation():
         ModularPolynomial.from_text("NOTMODPOLY 2 3 3\n0 0 1\n")
     with pytest.raises(ValueError):
         ModularPolynomial.from_text("MODPOLY 2 9 9\n0 0 1\n")
+    with pytest.raises(ValueError):
+        ModularPolynomial.from_text("")
+    with pytest.raises(ValueError):
+        ModularPolynomial.from_text("MODPOLY 2")
 
 
 def test_fiber_phi1():
