@@ -217,6 +217,8 @@ def modular_polynomial(n: int) -> ModularPolynomial:
     """
     if n == 1:
         return ModularPolynomial.from_map(1, {(1, 0): 1, (0, 1): -1})
+    if n > 1 and not is_squarefree(n):
+        raise NotSquarefree(f"n={n} is not squarefree")
     if n not in (2, 3):
         raise ValueError("only n in {1,2,3} is computed here; load larger n from cache")
     deg = psi(n)

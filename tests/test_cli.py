@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from heckelab import cli, galois
+from heckelab.congruence import sl2_order
 from heckelab.errors import OrderAmbiguous
 
 
@@ -155,6 +156,23 @@ def test_lifting_default_and_kernel(capsys):
     assert doc["report"]["full"] is False
 
 
+@pytest.mark.parametrize("p", [11, 13])
+def test_lifting_at_larger_primes(p, capsys):
+    code, doc = run(capsys, ["lifting", "--p", str(p)])
+    assert code == 0
+    assert doc["report"]["order"] == sl2_order(p * p)
+
+
+def test_lifting_kernel_pattern_at_11(capsys):
+    # I + 11*M for three independent trace-zero M
+    kernel = json.dumps([[[12, 0], [0, 111]], [[1, 11], [0, 1]],
+                         [[1, 0], [11, 1]]])
+    code, doc = run(capsys, ["lifting", "--p", "11", "--gens", kernel])
+    assert code == 1
+    assert doc["report"] == {"p": 11, "order": 1331, "full": False,
+                             "generates_mod_p": False}
+
+
 def test_types_curve_and_explicit(capsys):
     code, doc = run(capsys, ["types", "--curve", "[0,-1,1,0,0]",
                              "--level", "5"])
@@ -213,6 +231,14 @@ def test_modpoly_cache_for_other_n_is_usage_error(tmp_path, monkeypatch,
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+
+@pytest.mark.parametrize("n", [4, 12])
+def test_modpoly_not_squarefree_says_so(n, capsys):
+    assert cli.main(["modpoly", str(n)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: n={n} is not squarefree\n"
 
 
 def test_closures_never_enumerate_sl2(monkeypatch, capsys):

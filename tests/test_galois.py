@@ -1,10 +1,11 @@
 import itertools
 import random
+from math import gcd
 
 import pytest
 
 from heckelab import galois
-from heckelab.congruence import enumerate_sl2
+from heckelab.congruence import closure, enumerate_sl2, sl2_order
 from heckelab.errors import (
     BadDeterminant,
     BadReduction,
@@ -201,12 +202,12 @@ def test_surjective_37a1():
     assert certify_mod_p_image(E_37A1, 7, 1000).verdict == "Surjective"
 
 
-def test_cm_curve_lands_in_cartan_normalizers():
-    # CM by Z[i]: 5 splits in Q(i), 7 is inert
-    c5 = certify_mod_p_image(E_CM, 5, 1000)
-    assert c5.verdict == "ContainedInNormalizerCartan(split)"
-    c7 = certify_mod_p_image(E_CM, 7, 1000)
-    assert c7.verdict == "ContainedInNormalizerCartan(nonsplit)"
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_cm_curve_lands_in_cartan_normalizers(p):
+    # CM by Z[i]: p splits in Q(i) when p = 1 mod 4 and is inert otherwise
+    kind = "split" if p % 4 == 1 else "nonsplit"
+    cert = certify_mod_p_image(E_CM, p, 1000)
+    assert cert.verdict == f"ContainedInNormalizerCartan({kind})"
 
 
 def test_certify_guards():
@@ -225,50 +226,55 @@ def test_verdict_monotone_in_bound():
     assert borel == ["ContainedInBorel"] * 2
 
 
-# -- brute-force validation of the obstruction predicates over GL2(F5) ------
+# -- brute-force validation of the obstruction predicates over GL2(F_p) -----
 
-def _gl2_f5():
+def _gl2(p):
     return [(a, b, c, d)
-            for a in range(5) for b in range(5)
-            for c in range(5) for d in range(5)
-            if (a * d - b * c) % 5 != 0]
+            for a in range(p) for b in range(p)
+            for c in range(p) for d in range(p)
+            if (a * d - b * c) % p != 0]
 
 
-def _mul5(x, y):
-    return ((x[0] * y[0] + x[1] * y[2]) % 5, (x[0] * y[1] + x[1] * y[3]) % 5,
-            (x[2] * y[0] + x[3] * y[2]) % 5, (x[2] * y[1] + x[3] * y[3]) % 5)
+def _mul(x, y, p):
+    return ((x[0] * y[0] + x[1] * y[2]) % p, (x[0] * y[1] + x[1] * y[3]) % p,
+            (x[2] * y[0] + x[3] * y[2]) % p, (x[2] * y[1] + x[3] * y[3]) % p)
 
 
-def _charpolys(mats):
-    return {((m[0] + m[3]) % 5, (m[0] * m[3] - m[1] * m[2]) % 5)
+def _charpolys(mats, p):
+    return {((m[0] + m[3]) % p, (m[0] * m[3] - m[1] * m[2]) % p)
             for m in mats}
 
 
-def _is_closed(mats):
+def _is_closed(mats, p):
     s = set(mats)
-    return all(_mul5(x, y) in s for x in s for y in s)
+    return all(_mul(x, y, p) in s for x in s for y in s)
 
 
-def test_predicates_match_actual_maximal_subgroups():
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_predicates_match_actual_maximal_subgroups(p):
     # characteristic polynomials are conjugation invariant, so checking one
     # representative of each class covers all conjugates, and any subgroup
     # of a class realizes a subset of its (trace, det) pairs
-    borel = [m for m in _gl2_f5() if m[2] == 0]
-    split = ([(a, 0, 0, d) for a in range(1, 5) for d in range(1, 5)]
-             + [(0, b, c, 0) for b in range(1, 5) for c in range(1, 5)])
-    cartan_ns = [(a, 2 * b % 5, b, a) for a in range(5) for b in range(5)
-                 if (a * a - 2 * b * b) % 5 != 0]
-    norm_ns = cartan_ns + [_mul5((1, 0, 0, 4), m) for m in cartan_ns]
-    assert len(borel) == 80 and len(split) == 32 and len(norm_ns) == 48
-    assert _is_closed(split) and _is_closed(norm_ns)
+    units = range(1, p)
+    borel = [(a, b, 0, d) for a in units for b in range(p) for d in units]
+    split = ([(a, 0, 0, d) for a in units for d in units]
+             + [(0, b, c, 0) for b in units for c in units])
+    r = next(r for r in units if pow(r, (p - 1) // 2, p) == p - 1)
+    cartan_ns = [(a, r * b % p, b, a) for a in range(p) for b in range(p)
+                 if (a * a - r * b * b) % p != 0]
+    norm_ns = cartan_ns + [_mul((1, 0, 0, p - 1), m, p) for m in cartan_ns]
+    assert len(borel) == p * (p - 1) ** 2
+    assert len(split) == 2 * (p - 1) ** 2
+    assert len(norm_ns) == 2 * (p * p - 1)
+    assert _is_closed(split, p) and _is_closed(norm_ns, p)
 
     for cls, group in (("borel", borel),
                        ("normalizer_split_cartan", split),
                        ("normalizer_nonsplit_cartan", norm_ns)):
-        realized = _charpolys(group)
-        for t in range(5):
-            for d in range(1, 5):
-                assert excludes_class(cls, t, d, 5) == ((t, d) not in realized)
+        realized = _charpolys(group, p)
+        for t in range(p):
+            for d in units:
+                assert excludes_class(cls, t, d, p) == ((t, d) not in realized)
 
 
 def _proj_norm(m):
@@ -278,13 +284,13 @@ def _proj_norm(m):
 
 
 def test_exceptional_predicate_vs_s4_subgroup():
-    pgl = sorted({_proj_norm(m) for m in _gl2_f5()})
+    pgl = sorted({_proj_norm(m) for m in _gl2(5)})
     assert len(pgl) == 120
 
     def proj_order(m):
         k, x = 1, m
         while x != (1, 0, 0, 1):
-            x = _proj_norm(_mul5(x, m))
+            x = _proj_norm(_mul(x, m, 5))
             k += 1
         return k
 
@@ -300,7 +306,7 @@ def test_exceptional_predicate_vs_s4_subgroup():
             while frontier and len(group) <= 24:
                 g = frontier.pop()
                 for h in (x, y):
-                    v = _proj_norm(_mul5(g, h))
+                    v = _proj_norm(_mul(g, h, 5))
                     if v not in group:
                         group.add(v)
                         frontier.append(v)
@@ -318,7 +324,7 @@ def test_exceptional_predicate_vs_s4_subgroup():
     # and witness pairs do exist in the ambient group
     assert any(excludes_class("exceptional", (m[0] + m[3]) % 5,
                               (m[0] * m[3] - m[1] * m[2]) % 5, 5)
-               for m in _gl2_f5())
+               for m in _gl2(5))
 
 
 def test_goursat_full_product_pair():
@@ -368,7 +374,7 @@ def test_lifting_kernel_pattern_fails():
 
 def test_lifting_guards():
     with pytest.raises(ValueError):
-        lifting_check(11, standard_lifts(5))
+        lifting_check(17, standard_lifts(5))
     with pytest.raises(BadDeterminant):
         lifting_check(5, [(2, 0, 0, 1)])
 
@@ -376,6 +382,61 @@ def test_lifting_guards():
 def test_lifting_accepts_nested_lists():
     rep = lifting_check(5, [[[0, -1], [1, 0]], [[1, 1], [0, 1]]])
     assert rep.full is True
+
+
+def _random_sl2(rng, m):
+    while True:
+        a, b, c = (rng.randrange(m) for _ in range(3))
+        if gcd(a, m) == 1:
+            return (a, b, c, (1 + b * c) * pow(a, -1, m) % m)
+
+
+def _kernel_sets(p):
+    """Generator sets paired with the rank of H & K, K the kernel of
+    SL2(Z/p^2) -> SL2(F_p); every rank 0..3 occurs."""
+    m = p * p
+    return [([], 0), ([(0, m - 1, 1, 0)], 0), ([(1, p, 0, 1)], 1),
+            ([(1, 1, 0, 1)], 1),
+            ([(1, p, 0, 1), (1, 0, p, 1)], 2),
+            ([(1 + p, 0, 0, 1 - p + m), (1, p, 0, 1), (1, 0, p, 1)], 3),
+            (standard_lifts(p), 3)]
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_lifting_order_matches_closure_mod_p2(p):
+    m = p * p
+    rng = random.Random(p)
+    sets = [(gens, None) for gens in
+            ([_random_sl2(rng, m) for _ in range(rng.randint(1, 3))]
+             for _ in range(12))]
+    # unipotent and kernel mixtures, whose images mod p are proper
+    sets += [([(1, rng.randrange(m), 0, 1), (1, 0, p * rng.randrange(p), 1)],
+              None) for _ in range(6)]
+    for gens, rank in _kernel_sets(p) + sets:
+        rep = lifting_check(p, gens)
+        group, mod_p = closure(gens, m), closure(gens, p)
+        assert rep.order == len(group)
+        assert rep.generates_mod_p == (len(mod_p) == sl2_order(p))
+        assert rep.full == (len(group) == sl2_order(m))
+        if rank is not None:
+            assert len(group) == len(mod_p) * p ** rank
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_lifting_full_when_reduction_generates(p):
+    # Serre: a subgroup of SL2(Z/p^2) mapping onto SL2(F_p) is all of it
+    rng = random.Random(p)
+    onto = 0
+    for _ in range(10):
+        gens = [_random_sl2(rng, p * p) for _ in range(2)]
+        rep = lifting_check(p, gens)
+        if len(closure(gens, p)) == sl2_order(p):
+            onto += 1
+            assert rep.full and rep.generates_mod_p
+            assert rep.order == sl2_order(p * p)
+        else:
+            assert not (rep.full or rep.generates_mod_p)
+    assert onto >= 5
 
 
 def test_goursat_decompose_diagonal():

@@ -1,6 +1,12 @@
 import random
 
-from heckelab.qexp import series_mul, series_pow
+from heckelab.qexp import (
+    delta_over_q,
+    eisenstein4,
+    eisenstein6,
+    series_mul,
+    series_pow,
+)
 
 
 def test_series_pow_matches_repeated_mul():
@@ -11,3 +17,13 @@ def test_series_pow_matches_repeated_mul():
         for e in range(9):
             assert series_pow(f, e, K) == expected
             expected = series_mul(expected, f, K)
+
+
+def test_eisenstein_cubes_minus_squares_is_1728_delta():
+    K = 41  # through q^40
+    e4, e6 = eisenstein4(K), eisenstein6(K)
+    lhs = [a - b for a, b in zip(series_mul(series_mul(e4, e4, K), e4, K),
+                                 series_mul(e6, e6, K))]
+    delta = [0] + delta_over_q(K - 1)  # Delta = q * prod (1 - q^n)^24
+    assert delta[:4] == [0, 1, -24, 252]
+    assert lhs == [1728 * c for c in delta]
