@@ -32,6 +32,9 @@ E_11A3 = parse_curve("[0,-1,1,0,0]")   # y^2 + y = x^3 - x^2
 E_37A1 = parse_curve("[0,0,1,-1,0]")   # y^2 + y = x^3 - x
 E_CM = parse_curve("[0,0,0,-1,0]")     # y^2 = x^3 - x, CM by Z[i]
 
+# the primes the mod-p certificates cover, 5 <= p <= 13
+CERTIFIED_PRIMES = (5, 7, 11, 13)
+
 
 def naive_count(curve, ell):
     """Independent oracle: scan all affine pairs over F_ell."""
@@ -202,12 +205,12 @@ def test_surjective_37a1():
     assert certify_mod_p_image(E_37A1, 7, 1000).verdict == "Surjective"
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13])
-def test_cm_curve_lands_in_cartan_normalizers(p):
+def test_cm_curve_lands_in_cartan_normalizers():
     # CM by Z[i]: p splits in Q(i) when p = 1 mod 4 and is inert otherwise
-    kind = "split" if p % 4 == 1 else "nonsplit"
-    cert = certify_mod_p_image(E_CM, p, 1000)
-    assert cert.verdict == f"ContainedInNormalizerCartan({kind})"
+    for p in CERTIFIED_PRIMES:
+        kind = "split" if p % 4 == 1 else "nonsplit"
+        cert = certify_mod_p_image(E_CM, p, 1000)
+        assert cert.verdict == f"ContainedInNormalizerCartan({kind})", p
 
 
 def test_certify_guards():
@@ -250,8 +253,12 @@ def _is_closed(mats, p):
     return all(_mul(x, y, p) in s for x in s for y in s)
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13])
-def test_predicates_match_actual_maximal_subgroups(p):
+def test_predicates_match_actual_maximal_subgroups():
+    for p in CERTIFIED_PRIMES:
+        _check_predicates_against_maximal_subgroups(p)
+
+
+def _check_predicates_against_maximal_subgroups(p):
     # characteristic polynomials are conjugation invariant, so checking one
     # representative of each class covers all conjugates, and any subgroup
     # of a class realizes a subset of its (trace, det) pairs
