@@ -38,7 +38,6 @@ from .errors import (
     LevelTooLarge,
     NoConvergence,
     NotElliptic,
-    NotGeneratingModP,
     NotSquarefree,
     NotSubdirect,
     OrderAmbiguous,

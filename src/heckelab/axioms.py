@@ -57,6 +57,8 @@ def check_mod1(n: int, trials: int = 20, tol: float = 1e-6, seed: int = 0,
     `phi` can be overridden to validate the harness against a corrupted
     polynomial; by default the computed Phi_n is used.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     params = {"n": n, "tol": tol}
     try:
         if phi is None:

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .axioms import check_mod1, check_mod2, check_sf, check_sp
-from .congruence import MAX_LEVEL, closure
+from .congruence import MAX_LEVEL
 from .errors import (
     BadDeterminant,
     BadReduction,
@@ -305,7 +305,7 @@ def _run_types(args):
         if args.level > MAX_LEVEL:
             raise LevelTooLarge(f"N={args.level} exceeds the scan bound "
                                 f"{MAX_LEVEL}")
-        subject = closure(_parse_gens(args.gens, args.level), args.level)
+        subject = _parse_gens(args.gens, args.level)
     elif len(args.curve) == 1:
         subject = parse_curve(args.curve[0])
     elif len(args.curve) == 2:

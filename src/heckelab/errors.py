@@ -45,10 +45,6 @@ class BadReduction(HeckeLabError):
     """Prime of bad reduction passed to a point-counting routine."""
 
 
-class NotGeneratingModP(HeckeLabError):
-    """Lifting check invoked with matrices that do not generate mod p."""
-
-
 class NotSubdirect(HeckeLabError):
     """Goursat analysis requires surjection onto both factors."""
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isqrt
 
-from .congruence import CosetSpace, sl2_order
+from .congruence import CosetSpace, closure, sl2_order
 from .errors import BadDeterminant, BadReduction, NotSubdirect, OrderAmbiguous
 
 EXHAUSTIVE_LIMIT = 10 ** 5
@@ -449,19 +449,11 @@ def _image_from_rows(p, bound, rows):
                                   "ell_mod_p": ell % p}
         if len(witnesses) == len(OBSTRUCTION_CLASSES):
             break
-    units = set()
-    for ell, _ in rows:
-        units.add(ell % p)
-    closure = {1}
-    frontier = list(closure)
-    while frontier:
-        g = frontier.pop()
-        for u in units:
-            v = g * u % p
-            if v not in closure:
-                closure.add(v)
-                frontier.append(v)
-    det_full = len(closure) == p - 1
+    # u -> diag(u, 1/u) embeds F_p^* in SL2(F_p): the sampled ell mod p
+    # generate the units iff their images close to p - 1 elements
+    units = {ell % p for ell, _ in rows}
+    det_full = len(closure([(u, 0, 0, pow(u, -1, p)) for u in units],
+                           p)) == p - 1
     detail = {"samples": len(rows), "det_coverage": det_full}
     if len(witnesses) == len(OBSTRUCTION_CLASSES) and det_full:
         return ImageCertificate(p, bound, "Surjective", witnesses, detail)

@@ -1,9 +1,10 @@
 """Orbit counting on finite coset models and index reports.
 
-For an enumerated subgroup H of SL2(Z/N) the number of H-orbits on the
-regular coset space equals the index [SL2(Z/N) : H] exactly, and the
-report carries the orbit-count sequence across divisor levels.  When H
-is known only through a mod-p image certificate, the report gives the
+For a subgroup H of SL2(Z/N) given by a generating set, the number of
+H-orbits on the regular coset space equals the index [SL2(Z/N) : H]
+exactly, and the report carries the orbit-count sequence across divisor
+levels, each from the closure of the generators mod that divisor.  When
+H is known only through a mod-p image certificate, the report gives the
 index lower bound ambient/|largest subgroup consistent with the
 evidence| and flags it as a bound, never as an exact count.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .congruence import CosetSpace, enumerate_sl2, sl2_order
+from .congruence import CosetSpace, closure, enumerate_sl2, sl2_order
 from .errors import EvidenceInsufficient
 from .galois import EllipticCurve, certify_goursat_pair, certify_mod_p_image
 
@@ -87,19 +88,20 @@ def _divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _explicit_report(elements, level):
-    h = set(elements)
-    order = sl2_order(level)
-    if not h or order % len(h) != 0:
-        raise ValueError("explicit H must be a subgroup: order must divide "
-                         f"{order}")
-    rows = []
-    for d in _divisors(level):
-        red = {tuple(v % d for v in g) for g in h}
-        rows.append((d, sl2_order(d) // len(red)))
-    index = sl2_order(level) // len(h)
-    return TypeCountReport(level, 1, order, len(h), index, False,
-                           tuple(rows), "explicit subgroup enumeration")
+def _explicit_report(gens, level):
+    if level < 1:
+        raise ValueError(f"level must be positive, got {level}")
+    for a, b, c, d in gens:
+        if (a * d - b * c - 1) % level:
+            raise ValueError(f"generator [[{a},{b}],[{c},{d}]] does not have "
+                             f"determinant 1 mod {level}")
+    # H mod d is generated by the generators mod d, so each row is one
+    # closure; the last row (d = level) is H itself
+    rows = tuple((d, sl2_order(d) // len(closure(gens, d)))
+                 for d in _divisors(level))
+    order, index = sl2_order(level), rows[-1][1]
+    return TypeCountReport(level, 1, order, order // index, index, False,
+                           rows, "explicit subgroup enumeration")
 
 
 def _single_curve_report(curve, p, bound):
@@ -136,9 +138,11 @@ def type_count_report(subject, level: int, bound: int = 1000) -> TypeCountReport
     """Index report for a subgroup of the level-`level` coset model.
 
     subject is an EllipticCurve (mod-level image evidence), a pair of
-    curves (product image evidence), or an explicit set of matrices mod
-    level.  Exact indices come from enumeration; evidence-based values
-    are lower bounds and flagged as such.
+    curves (product image evidence), or a generating set of matrices
+    with determinant 1 mod level (ValueError otherwise).  A full element
+    list works too, at a cost of |H| * |gens|.  Exact indices come from
+    closing the generators mod each divisor of level; evidence-based
+    values are lower bounds and flagged as such.
     """
     if isinstance(subject, EllipticCurve):
         return _single_curve_report(subject, level, bound)

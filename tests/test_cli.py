@@ -77,6 +77,14 @@ def test_axiom_mod1(capsys):
     assert doc["report"]["seed"] == 0
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_axiom_mod1_without_trials_is_usage_error(trials, capsys):
+    assert cli.main(["axiom", "mod1", "--n", "2", "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "trials must be at least 1" in captured.err
+
+
 def test_axiom_mod2(capsys):
     code, doc = run(capsys, ["axiom", "mod2", "--n", "2", "--X0", "1728"])
     assert code == 0

@@ -213,6 +213,29 @@ def test_cm_curve_lands_in_cartan_normalizers():
         assert cert.verdict == f"ContainedInNormalizerCartan({kind})", p
 
 
+def _units_generate(units, p):
+    """Independent criterion: F_p^* is cyclic of order p - 1, so units
+    generate it iff for each prime q | p - 1 some unit is not a q-th
+    power, i.e. has u^((p-1)/q) != 1."""
+    qs = [q for q in range(2, p) if (p - 1) % q == 0
+          and all(q % r for r in range(2, q))]
+    return all(any(pow(u, (p - 1) // q, p) != 1 for u in units) for q in qs)
+
+
+@pytest.mark.parametrize("p", CERTIFIED_PRIMES)
+def test_det_coverage_matches_unit_generation(p):
+    units = range(1, p)
+    full = 0
+    for k in range(p):
+        for subset in itertools.combinations(units, k):
+            rows = [(u, 0) for u in subset]
+            cert = galois._image_from_rows(p, 1000, rows)
+            expected = _units_generate(subset, p)
+            assert cert.detail["det_coverage"] is expected, (p, subset)
+            full += expected
+    assert 0 < full < 2 ** (p - 1)
+
+
 def test_certify_guards():
     assert certify_mod_p_image(E_11A3, 11, 1000).verdict == "Inconclusive"
     with pytest.raises(ValueError):

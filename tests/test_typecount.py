@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from heckelab.congruence import Subgroup, enumerate_sl2, sl2_order
+from heckelab.congruence import Subgroup, closure, enumerate_sl2, sl2_order
 from heckelab.errors import EvidenceInsufficient
 from heckelab.galois import parse_curve
 from heckelab.typecount import (
@@ -102,8 +102,52 @@ def test_level_counts_never_decrease_along_chains():
 
 
 def test_explicit_rejects_non_subgroup():
+    # a generator of determinant 2 mod 5 lies outside SL2(Z/5)
     with pytest.raises(ValueError):
-        type_count_report(list(FMG5.elements[:7]), 5)
+        type_count_report([(1, 1, 0, 1), (2, 0, 0, 1)], 5)
+
+
+def test_explicit_rejects_nonpositive_level():
+    for level in (0, -5):
+        with pytest.raises(ValueError):
+            type_count_report([(1, 1, 0, 1)], level)
+
+
+def test_explicit_unipotent_generator():
+    # T generates a group of order 5 in SL2(Z/5), of index 24
+    rep = type_count_report([(1, 1, 0, 1)], 5)
+    assert rep.value == 24
+    assert rep.subgroup_order == 5
+    assert rep.orbit_counts_by_level == ((1, 1), (5, 24))
+
+
+def _st_word(rng, length):
+    m = (1, 0, 0, 1)
+    for _ in range(length):
+        e, f, g, h = rng.choice(((0, -1, 1, 0), (1, 1, 0, 1), (1, -1, 0, 1)))
+        a, b, c, d = m
+        m = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+    return m
+
+
+def test_explicit_report_matches_element_reduction():
+    # reference: close H mod level once and reduce every element of it
+    # to each divisor
+    rng = random.Random(41)
+    orders = set()
+    for level in (12, 13, 14, 21, 22, 24, 27, 28, 30):
+        for _ in range(4):
+            gens = [_st_word(rng, rng.randint(2, 6)) for _ in range(2)]
+            h = closure(gens, level)
+            rows = tuple(
+                (d, sl2_order(d) // len({tuple(v % d for v in g) for g in h}))
+                for d in range(1, level + 1) if level % d == 0)
+            rep = type_count_report(gens, level)
+            assert rep.orbit_counts_by_level == rows, (level, gens)
+            assert rep.value == sl2_order(level) // len(h)
+            assert rep.subgroup_order == len(h)
+            orders.add(len(h))
+    assert len(orders) > 10
 
 
 def test_borel_evidence_lower_bound():
