@@ -11,7 +11,9 @@ codes: 0 pass/success, 1 fail with witness, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -62,9 +64,12 @@ _INCONCLUSIVE_ERRORS = (PrecisionExhausted, NoConvergence, IllConditioned,
 
 def _parse_complex(text: str):
     try:
-        return complex(text.replace("i", "j").replace(" ", ""))
+        z = complex(text.replace("i", "j").replace(" ", ""))
     except ValueError:
         raise ValueError(f"cannot parse complex number from {text!r}")
+    if not cmath.isfinite(z):
+        raise ValueError(f"complex number {text!r} is not finite")
+    return z
 
 
 def _int_rows(mat):
@@ -107,12 +112,36 @@ def _thread_count(text):
     return value
 
 
+def _tolerance(text):
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and positive, got {text!r}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads -0.3+0.5i or -1e8+1i as a value.
+
+    argparse takes only plain negative numbers such as -12 or -1.5 for
+    values and any other leading dash for an option.  No option of this
+    CLI starts with a dash and a digit, so such a token is always a value.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def _common_flags(sub):
     sub.add_argument("--seed", type=int, default=0,
                      help="seed for randomized trials (default 0)")
     sub.add_argument("--precision-bits", type=int, default=128,
                      help="working precision for series evaluation")
-    sub.add_argument("--tolerance", type=float, default=None,
+    sub.add_argument("--tolerance", type=_tolerance, default=None,
                      help="override the subcommand's default tolerance")
     sub.add_argument("--threads", type=_thread_count, default=1,
                      help="accepted for compatibility; nothing reads it")
@@ -122,7 +151,7 @@ def _common_flags(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="heckelab",
         description="finite checks for modular curves: special points, "
                     "coset decompositions, modular polynomials, and mod-p "

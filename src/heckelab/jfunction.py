@@ -4,13 +4,18 @@ Evaluation reduces the argument to the standard fundamental domain
 (|Re| <= 1/2, |tau| >= 1) and sums the integer q-expansion there, where
 |q| <= e^{-pi*sqrt(3)} makes the tail geometric.  The reported error bound
 uses |c_m| <= e^{4*pi*sqrt(m)}, which dominates the true coefficients.
-Inversion is Newton's method seeded from a coarse grid over the domain.
+Inversion is Newton's method in mpmath, seeded from a coarse grid of
+double-precision j values over the domain.  The seed only picks where
+Newton starts: its step rule and the closing j re-check at full
+precision decide every answer.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import floor
 
 import mpmath
@@ -127,27 +132,32 @@ def j(tau, ctx: QSeriesContext = DEFAULT_CTX) -> JResult:
     return JResult(value, err)
 
 
-_GRID = None
-
-
+@cache
 def _start_grid():
-    """40x40 float64 samples of j over the fundamental domain, cached."""
-    global _GRID
-    if _GRID is None:
-        pts = []
-        ctx = QSeriesContext(terms=32, prec_bits=64)
-        with mpmath.workprec(80):
-            for i in range(40):
-                re = -0.5 + (i + 0.5) / 40
-                for k in range(40):
-                    im = 0.5 + 3.5 * (k + 0.5) / 40
-                    z = mpmath.mpc(re, im)
-                    if abs(z) < 1:
-                        continue
-                    val, _ = _series_eval(z, ctx)
-                    pts.append((complex(val), complex(z)))
-        _GRID = pts
-    return _GRID
+    """(j(z), z) at 40x40 points of the fundamental domain, in floats.
+
+    Only Newton's seed is read from it, so double precision is enough.
+    """
+    coeffs = j_coefficients(32)[:0:-1]  # c_31, ..., c_0 for Horner
+    pts = []
+    for i in range(40):
+        re = -0.5 + (i + 0.5) / 40
+        for k in range(40):
+            im = 0.5 + 3.5 * (k + 0.5) / 40
+            z = complex(re, im)
+            if abs(z) < 1:
+                continue
+            q = cmath.exp(2j * cmath.pi * z)
+            val = 0j
+            for c in coeffs:
+                val = val * q + c
+            pts.append((val + 1 / q, z))
+    return pts
+
+
+def _grid_start(x0: complex) -> complex:
+    """The grid point whose j value lies nearest x0."""
+    return min(_start_grid(), key=lambda p: abs(p[0] - x0))[1]
 
 
 def invert_j(X0, ctx: QSeriesContext = DEFAULT_CTX) -> NumericPoint:
@@ -165,8 +175,7 @@ def invert_j(X0, ctx: QSeriesContext = DEFAULT_CTX) -> NumericPoint:
             z = mpmath.log(q0) / (2j * mpmath.pi)
             z = mpmath.mpc(z.real - mpmath.nint(z.real), z.imag)
         else:
-            z = min(_start_grid(), key=lambda p: abs(p[0] - X0))[1]
-            z = mpmath.mpc(z)
+            z = mpmath.mpc(_grid_start(complex(X0)))
         coeffs = j_coefficients(ctx.terms)
 
         def jval(zz):

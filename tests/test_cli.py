@@ -283,6 +283,47 @@ def test_threads_below_one_is_usage_error(capsys):
         assert "--threads" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["axiom", "mod1", "--n", "2", "--trials", "2", "--tolerance", "nan"],
+    ["axiom", "mod1", "--n", "2", "--trials", "2", "--tolerance", "-1"],
+    ["axiom", "mod1", "--n", "2", "--trials", "2", "--tolerance", "0"],
+    ["axiom", "mod1", "--n", "2", "--trials", "2", "--tolerance", "inf"],
+    ["axiom", "mod1", "--n", "2", "--trials", "2", "--tolerance=-inf"],
+    ["j", "0+1i", "--tolerance", "-1"],
+])
+def test_tolerance_must_be_finite_and_positive(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tolerance" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["j", "0.1+nani"],
+    ["j", "0.1+1e400i"],
+    ["axiom", "mod2", "--n", "2", "--X0=nan"],
+])
+def test_non_finite_complex_is_usage_error(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not finite" in captured.err
+
+
+@pytest.mark.parametrize("argv, escaped", [
+    (["j", "-0.3+0.5i"], ["j", "--", "-0.3+0.5i"]),
+    (["axiom", "mod2", "--n", "2", "--X0", "-100+3i"],
+     ["axiom", "mod2", "--n", "2", "--X0=-100+3i"]),
+])
+def test_negative_complex_values(argv, escaped, capsys):
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    assert (code, out) == (cli.main(escaped), capsys.readouterr().out)
+    assert code == 0 and out
+
+
 def test_order_ambiguity_is_inconclusive(monkeypatch, capsys):
     def ambiguous(curve, ell):
         raise OrderAmbiguous(f"order ambiguity persisted at {ell}")

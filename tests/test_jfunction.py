@@ -1,4 +1,8 @@
+import cmath
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -8,6 +12,9 @@ from heckelab.errors import NoConvergence
 from heckelab.jfunction import (
     DEFAULT_CTX,
     QSeriesContext,
+    _grid_start,
+    _series_eval,
+    _start_grid,
     invert_j,
     j,
     reduce_fundamental,
@@ -126,6 +133,69 @@ def test_invert_j_round_trip():
 def test_invert_j_large_value():
     t = invert_j(mpmath.mpc(1e12, 5e11))
     assert abs(j(t).value - mpmath.mpc(1e12, 5e11)) / 1e12 < 1e-6
+
+
+def _mpmath_start_grid():
+    """The start grid as first written: the j-series summed in mpmath."""
+    pts = []
+    ctx = QSeriesContext(terms=32, prec_bits=64)
+    with mpmath.workprec(80):
+        for i in range(40):
+            re = -0.5 + (i + 0.5) / 40
+            for k in range(40):
+                im = 0.5 + 3.5 * (k + 0.5) / 40
+                z = mpmath.mpc(re, im)
+                if abs(z) < 1:
+                    continue
+                val, _ = _series_eval(z, ctx)
+                pts.append((complex(val), complex(z)))
+    return pts
+
+
+def _mpmath_pick(grid, X0, ctx=DEFAULT_CTX):
+    """Newton's start as first picked: distances to X0 in mpmath."""
+    with mpmath.workprec(ctx.prec_bits + 40):
+        X0 = mpmath.mpc(X0)
+        return min(grid, key=lambda p: abs(p[0] - X0))[1]
+
+
+def test_start_grid_matches_kleinj():
+    grid = _start_grid()
+    assert len(grid) == 1388
+    with mpmath.workdps(30):
+        for val, z in grid:
+            want = 1728 * mpmath.kleinj(mpmath.mpc(z))
+            assert abs(val - want) <= 1e-12 * abs(want)
+
+
+def test_start_pick_matches_mpmath_grid():
+    reference = _mpmath_start_grid()
+    assert [z for _, z in _start_grid()] == [z for _, z in reference]
+    rng = random.Random(61)
+    for _ in range(200):
+        X0 = cmath.rect(10 ** rng.uniform(-2, 9), rng.uniform(-cmath.pi, cmath.pi))
+        assert X0.imag != 0
+        assert _grid_start(X0) == _mpmath_pick(reference, X0)
+
+
+@pytest.mark.parametrize("X0", [0.5, -5.3, -111.3, -9693.7])
+def test_invert_j_on_the_real_axis(X0):
+    # the grid is mirror-symmetric, so a real X0 ties two start points
+    back = j(invert_j(X0)).value
+    assert abs(back - X0) <= 1e-6 * abs(X0)
+
+
+def test_cli_import_leaves_start_grid_unbuilt():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import heckelab.cli, heckelab.jfunction as jf; "
+         "print(jf._start_grid.cache_info().currsize)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "0"
 
 
 def test_error_bound_honest():
