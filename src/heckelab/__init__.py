@@ -27,6 +27,7 @@ from .congruence import (
     parse_group,
     required_level,
     sl2_order,
+    subgroup_order,
 )
 from .errors import (
     BadDeterminant,

@@ -55,6 +55,10 @@ from .typecount import type_count_report
 
 OK, FAIL, USAGE, INCONCLUSIVE = 0, 1, 2, 3
 
+# j at 2**16 bits takes about a second, and near 1e11 bits mpmath runs
+# out of memory.  The lower bound of 64 bits is the library's own.
+MAX_PRECISION_BITS = 1 << 16
+
 _USAGE_ERRORS = (ValueError, NotSquarefree, LevelTooLarge, BadDeterminant,
                  BadReduction, NotElliptic, IncompatibleLevel,
                  json.JSONDecodeError)
@@ -112,6 +116,24 @@ def _thread_count(text):
     return value
 
 
+def _precision_bits(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value > MAX_PRECISION_BITS:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {MAX_PRECISION_BITS}, got {value}")
+    return value
+
+
+def _fraction(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}")
+
+
 def _tolerance(text):
     try:
         value = float(text)
@@ -139,7 +161,7 @@ class _Parser(argparse.ArgumentParser):
 def _common_flags(sub):
     sub.add_argument("--seed", type=int, default=0,
                      help="seed for randomized trials (default 0)")
-    sub.add_argument("--precision-bits", type=int, default=128,
+    sub.add_argument("--precision-bits", type=_precision_bits, default=128,
                      help="working precision for series evaluation")
     sub.add_argument("--tolerance", type=_tolerance, default=None,
                      help="override the subcommand's default tolerance")
@@ -162,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     modes = special.add_subparsers(dest="mode", required=True)
     pt = _common_flags(modes.add_parser("point"))
     pt.add_argument("--D", type=int, required=True)
-    pt.add_argument("--x", type=Fraction, required=True)
-    pt.add_argument("--y", type=Fraction, required=True)
+    pt.add_argument("--x", type=_fraction, required=True)
+    pt.add_argument("--y", type=_fraction, required=True)
     mat = _common_flags(modes.add_parser("matrix"))
     mat.add_argument("--m", required=True, help='matrix as "[[a,b],[c,d]]"')
 
@@ -186,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     m2.add_argument("--X0", required=True)
     sp = _common_flags(fams.add_parser("sp"))
     sp.add_argument("--D", type=int, required=True)
-    sp.add_argument("--x", type=Fraction, required=True)
-    sp.add_argument("--y", type=Fraction, required=True)
+    sp.add_argument("--x", type=_fraction, required=True)
+    sp.add_argument("--y", type=_fraction, required=True)
     sf = _common_flags(fams.add_parser("sf"))
     sf.add_argument("--N", type=int, required=True)
 
@@ -385,8 +407,13 @@ def main(argv=None) -> int:
     }
     text = json.dumps(doc, indent=2, sort_keys=True)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write --output {args.output}: "
+                  f"{exc.strerror}", file=sys.stderr)
+            return USAGE
     print(text)
     return code
 

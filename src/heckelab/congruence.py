@@ -4,8 +4,10 @@ GroupDescriptor names a subgroup symbolically (full group, Gamma(N),
 Gamma0(N), Gamma1(N), or an intersection of a base group with conjugates
 g_i^-1 . g_i).  Images of descriptors are found by enumerating SL2(Z/N)
 outright and lifting elements back to SL2(Z), which keeps every image and
-index computation exact at the cost of an O(N^3) scan.  Subgroups given
-by generators are closed up by `closure`, which needs no enumeration.
+index computation exact at the cost of an O(N^3) scan.  For subgroups
+given by generators, `subgroup_order` finds the order in two levels
+without listing the subgroup, and `closure` lists it where the elements
+themselves are needed; neither enumerates SL2(Z/N).
 """
 
 from __future__ import annotations
@@ -316,6 +318,79 @@ def closure(gens, N: int) -> set:
                 seen.add(m)
                 stack.append(m)
     return seen
+
+
+def _largest_prime_factor(n: int) -> int:
+    p, q = 2, 1
+    while p * p <= n:
+        while n % p == 0:
+            n, q = n // p, p
+        p += 1
+    return n if n > 1 else q
+
+
+def subgroup_order(gens, N: int) -> int:
+    """|H| for the subgroup H of SL2(Z/N) generated by gens (determinant
+    1 mod N), found without listing H.
+
+    With p the largest prime factor of N and m = N/p, |H| = |H mod m| *
+    |H & K|, K the kernel of reduction SL2(Z/N) -> SL2(Z/m).  A
+    depth-first search over H mod m keeps one lift mod N per residue; each
+    product t*s landing on a known residue with lift u gives the Schreier
+    generator t*s*u^-1 of H & K, and these generate H & K (Schreier's
+    lemma; Seress, Permutation Group Algorithms, 4.2).
+    - If p | m, (I + mX)(I + mY) = I + m(X + Y) mod N, p = 2 included, so
+      K is elementary abelian and |H & K| = p^rank of the (X11, X12, X21)
+      over F_p (tr X = 0 mod p fixes X22).
+    - Otherwise K is SL2(Z/p) by CRT, and |H & K| is the order of the
+      `closure` mod p of the Schreier generators, re-closed only when one
+      falls outside it.
+    """
+    if N == 1:
+        return 1
+    p = _largest_prime_factor(N)
+    m = N // p
+    abelian = m % p == 0
+    gens = [tuple(v % N for v in g) for g in gens]
+    one = (1, 0, 0, 1)
+    lift, stack = {(1 % m, 0, 0, 1 % m): one}, [one]
+    # abelian K: pivot column -> kernel row over F_p, 1 at its pivot and 0
+    # at the pivots of earlier rows, so one pass in insertion order reduces
+    basis = {}
+    # otherwise: the Schreier generators mod p kept so far, and their closure
+    kgens, inside = [], {one}
+    while stack:
+        a, b, c, d = stack.pop()
+        for e, f, g, h in gens:
+            ts = ((a * e + b * g) % N, (a * f + b * h) % N,
+                  (c * e + d * g) % N, (c * f + d * h) % N)
+            u = lift.setdefault((ts[0] % m, ts[1] % m, ts[2] % m, ts[3] % m),
+                                ts)
+            if u is ts:  # a new residue, and ts its lift
+                stack.append(ts)
+            elif abelian:
+                if len(basis) == 3:  # H & K is all of K
+                    continue
+                # ts * adj(u) = I + mX; reduce (X11, X12, X21)
+                x = [((ts[0] * u[3] - ts[1] * u[2]) % N - 1) // m,
+                     (ts[1] * u[0] - ts[0] * u[1]) % N // m,
+                     (ts[2] * u[3] - ts[3] * u[2]) % N // m]
+                for col, row in basis.items():
+                    if x[col]:
+                        x = [(v - x[col] * r) % p for v, r in zip(x, row)]
+                col = next((i for i, v in enumerate(x) if v), None)
+                if col is not None:
+                    inv = pow(x[col], -1, p)
+                    basis[col] = [v * inv % p for v in x]
+            else:
+                y = ((ts[0] * u[3] - ts[1] * u[2]) % p,
+                     (ts[1] * u[0] - ts[0] * u[1]) % p,
+                     (ts[2] * u[3] - ts[3] * u[2]) % p,
+                     (ts[3] * u[0] - ts[2] * u[1]) % p)
+                if y not in inside:
+                    kgens.append(y)
+                    inside = closure(kgens, p)
+    return len(lift) * (p ** len(basis) if abelian else len(inside))
 
 
 class CosetSpace:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isqrt
 
-from .congruence import CosetSpace, closure, sl2_order
+from .congruence import CosetSpace, closure, sl2_order, subgroup_order
 from .errors import BadDeterminant, BadReduction, NotSubdirect, OrderAmbiguous
 
 EXHAUSTIVE_LIMIT = 10 ** 5
@@ -116,7 +116,14 @@ def parse_curve(text: str) -> EllipticCurve:
     parts = body[1:-1].split(",")
     if len(parts) != 5:
         raise ValueError(f"expected 5 coefficients, got {len(parts)}")
-    return EllipticCurve(*(Fraction(p.strip()) for p in parts))
+    coeffs = []
+    for part in parts:
+        try:
+            coeffs.append(Fraction(part.strip()))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"coefficient {part.strip()!r} of {text!r} is "
+                             f"not a rational number")
+    return EllipticCurve(*coeffs)
 
 
 def _reduce_coeffs(curve, ell):
@@ -556,46 +563,16 @@ def lifting_check(p: int, generators) -> LiftingReport:
     of it.  generates_mod_p records whether the reductions already generate
     SL2(F_p); a kernel-pattern generating set (I + p*M) fails both.
 
-    The order is found in two levels, |H| = |H mod p| * |H & K|, with K the
-    kernel of reduction mod p.  A depth-first search over H mod p keeps one
-    lift per residue; each product t*s landing on a known residue with
-    lift u gives the Schreier generator t*s*u^-1 = I + pX of H & K.  For
-    odd p, (I + pX)(I + pY) = I + p(X + Y) mod p^2, so K is elementary
-    abelian and |H & K| = p^rank of the (X11, X12, X21) over F_p
-    (tr X = 0 mod p fixes X22).
+    Both orders come from `congruence.subgroup_order`, which finds
+    |H| = |H mod p| * p^rank in two levels without listing H.
     """
     if p not in CERTIFIABLE_PRIMES:
         raise ValueError(f"p must be in {CERTIFIABLE_PRIMES}, got {p}")
     m = p * p
     gens = [_flatten(g, m) for g in generators]
-    one = (1, 0, 0, 1)
-    lift, stack = {one: one}, [one]
-    # pivot column -> kernel row over F_p, 1 at its pivot and 0 at the
-    # pivots of earlier rows, so one pass in insertion order reduces
-    basis = {}
-    while stack:
-        a, b, c, d = stack.pop()
-        for e, f, g, h in gens:
-            ts = ((a * e + b * g) % m, (a * f + b * h) % m,
-                  (c * e + d * g) % m, (c * f + d * h) % m)
-            u = lift.setdefault(tuple(v % p for v in ts), ts)
-            if u is ts:  # a new residue, and ts its lift
-                stack.append(ts)
-                continue
-            # ts * adj(u) = I + pX; reduce (X11, X12, X21) against the basis
-            x = [((ts[0] * u[3] - ts[1] * u[2]) % m - 1) // p,
-                 (ts[1] * u[0] - ts[0] * u[1]) % m // p,
-                 (ts[2] * u[3] - ts[3] * u[2]) % m // p]
-            for col, row in basis.items():
-                if x[col]:
-                    x = [(v - x[col] * r) % p for v, r in zip(x, row)]
-            col = next((i for i, v in enumerate(x) if v), None)
-            if col is not None:
-                inv = pow(x[col], -1, p)
-                basis[col] = [v * inv % p for v in x]
-    order = len(lift) * p ** len(basis)
+    order = subgroup_order(gens, m)
     return LiftingReport(p, order, order == sl2_order(m),
-                         len(lift) == sl2_order(p))
+                         subgroup_order(gens, p) == sl2_order(p))
 
 
 # -- Goursat decomposition of explicit subdirect products -------------------

@@ -159,7 +159,13 @@ def parse_matrix(s: str) -> RatMatrix:
     stripped = _re.sub(r"[\s\[\],]|" + _FRAC_RE.pattern, "", s)
     if len(tokens) != 4 or stripped:
         raise ValueError(f"not a 2x2 matrix literal: {s!r}")
-    return RatMatrix(*(Fraction(t) for t in tokens))
+    entries = []
+    for t in tokens:
+        try:
+            entries.append(Fraction(t))
+        except ZeroDivisionError:
+            raise ValueError(f"entry {t!r} of {s!r} has a zero denominator")
+    return RatMatrix(*entries)
 
 
 @dataclass(frozen=True)

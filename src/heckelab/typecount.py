@@ -3,17 +3,17 @@
 For a subgroup H of SL2(Z/N) given by a generating set, the number of
 H-orbits on the regular coset space equals the index [SL2(Z/N) : H]
 exactly, and the report carries the orbit-count sequence across divisor
-levels, each from the closure of the generators mod that divisor.  When
-H is known only through a mod-p image certificate, the report gives the
-index lower bound ambient/|largest subgroup consistent with the
-evidence| and flags it as a bound, never as an exact count.
+levels, each from `congruence.subgroup_order` of the generators mod that
+divisor.  When H is known only through a mod-p image certificate, the
+report gives the index lower bound ambient/|largest subgroup consistent
+with the evidence| and flags it as a bound, never as an exact count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .congruence import CosetSpace, closure, enumerate_sl2, sl2_order
+from .congruence import CosetSpace, enumerate_sl2, sl2_order, subgroup_order
 from .errors import EvidenceInsufficient
 from .galois import EllipticCurve, certify_goursat_pair, certify_mod_p_image
 
@@ -96,10 +96,13 @@ def _explicit_report(gens, level):
             raise ValueError(f"generator [[{a},{b}],[{c},{d}]] does not have "
                              f"determinant 1 mod {level}")
     # H mod d is generated by the generators mod d, so each row is one
-    # closure; the last row (d = level) is H itself
-    rows = tuple((d, sl2_order(d) // len(closure(gens, d)))
+    # subgroup_order, which never lists H mod d; the last row (d = level)
+    # is H itself
+    rows = tuple((d, sl2_order(d) // subgroup_order(gens, d))
                  for d in _divisors(level))
     order, index = sl2_order(level), rows[-1][1]
+    # the basis string predates subgroup_order and stays as it was, so
+    # the JSON report is byte-identical to earlier releases
     return TypeCountReport(level, 1, order, order // index, index, False,
                            rows, "explicit subgroup enumeration")
 
@@ -141,8 +144,8 @@ def type_count_report(subject, level: int, bound: int = 1000) -> TypeCountReport
     curves (product image evidence), or a generating set of matrices
     with determinant 1 mod level (ValueError otherwise).  A full element
     list works too, at a cost of |H| * |gens|.  Exact indices come from
-    closing the generators mod each divisor of level; evidence-based
-    values are lower bounds and flagged as such.
+    `subgroup_order` of the generators mod each divisor of level;
+    evidence-based values are lower bounds and flagged as such.
     """
     if isinstance(subject, EllipticCurve):
         return _single_curve_report(subject, level, bound)

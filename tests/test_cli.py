@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckelab import cli, galois
 from heckelab.congruence import sl2_order
@@ -263,6 +267,25 @@ def test_closures_never_enumerate_sl2(monkeypatch, capsys):
     assert doc["report"]["index"] == 1
 
 
+def test_types_and_lifting_never_close_at_the_full_level(monkeypatch,
+                                                        capsys):
+    from heckelab import congruence
+    moduli = []
+    real = congruence.closure
+
+    def spy(gens, N):
+        moduli.append(N)
+        return real(gens, N)
+    for module in (congruence, galois):
+        monkeypatch.setattr(module, "closure", spy)
+    code, doc = run(capsys, ["types", "--gens",
+                             "[[[1,1],[0,1]],[[1,0],[1,1]]]", "--level", "30"])
+    assert code == 0 and doc["report"]["index"] == 1
+    code, doc = run(capsys, ["lifting", "--p", "13"])
+    assert code == 0 and doc["report"]["order"] == sl2_order(169)
+    assert moduli and not {30, 169} & set(moduli)
+
+
 def test_usage_exit_from_argparse():
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
@@ -367,3 +390,112 @@ def test_byte_identical_across_thread_counts(capsys):
                   "--threads", t])
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["special", "point", "--D", "-3", "--x", "0", "--y", "1/0"],
+    ["axiom", "sp", "--D", "-3", "--x", "1/0", "--y", "1"],
+    ["frobenius", "[1/0,0,0,1,1]", "--upto", "100"],
+    ["image", "[0,0,0,1/0,1]", "--p", "5"],
+    ["types", "--curve", "[0,0,0,1,1/0]", "--level", "5"],
+    ["special", "matrix", "--m", "[[1/0,0],[0,1]]"],
+])
+def test_zero_denominator_is_usage_error(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # --x and --y are checked by argparse
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "1/0" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_precision_bits_too_large_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["j", "0+1i", "--precision-bits", "99999999999999999999"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--precision-bits" in captured.err
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    for path in (tmp_path / "missing" / "x.json", tmp_path):
+        assert cli.main(["modpoly", "2", "--output", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write --output {path}")
+    assert not (tmp_path / "missing").exists()
+
+
+# argv built from every subcommand path and its arguments.  Each value is
+# a valid one for its slot or a token from a pool of mostly malformed ones;
+# --upto and --trials are capped so that the valid requests stay cheap.
+_CURVES = ["[0,-1,1,0,0]", "[0,0,1,-1,0]"]
+_COMMANDS = {  # path: [(option, or None for a positional; valid values)]
+    ("special", "point"): [("--D", ["-3", "-1"]), ("--x", ["0", "1/2"]),
+                           ("--y", ["1", "1/2"])],
+    ("special", "matrix"): [("--m", ["[[0,-1],[1,0]]", "[[2,1],[1,1]]"])],
+    ("hecke-cosets",): [(None, ["2", "6"])],
+    ("modpoly",): [(None, ["2", "3"])],
+    ("j",): [(None, ["0+1i", "-0.3+0.5i"])],
+    ("axiom", "mod1"): [("--n", ["2"]), ("--trials", ["1", "2"])],
+    ("axiom", "mod2"): [("--n", ["2"]), ("--X0", ["1728", "-100+3i"])],
+    ("axiom", "sp"): [("--D", ["-3", "-1"]), ("--x", ["0", "1/2"]),
+                      ("--y", ["1", "1/2"])],
+    ("axiom", "sf"): [("--N", ["5", "12"])],
+    ("frobenius",): [(None, _CURVES), ("--upto", ["50", "100"])],
+    ("image",): [(None, _CURVES), ("--p", ["5", "7"]), ("--upto", ["1000"])],
+    ("goursat",): [(None, _CURVES), (None, _CURVES), ("--p", ["5", "7"]),
+                   ("--upto", ["1000"])],
+    ("lifting",): [("--p", ["5", "13"]),
+                   ("--gens", ["[[[1,1],[0,1]],[[1,0],[1,1]]]"])],
+    ("types",): [("--level", ["5", "30"]), ("--curve", _CURVES),
+                 ("--gens", ["[[[1,1],[0,1]],[[1,0],[1,1]]]", "[]"]),
+                 ("--upto", ["1000"])],
+}
+_COMMON = [("--seed", ["0", "7"]), ("--precision-bits", ["128"]),
+           ("--tolerance", ["1e-6"]), ("--threads", ["1", "2"]),
+           ("--output", [])]
+_TOKENS = ["1/0", "0/0", "nan", "-inf", "1e400", "99999999999999999999",
+           "-0.3+0.5i", "0.1+nani", "x", "", "[a]", "[]", "[1,2]",
+           "[[[1.5,0],[0,1]]]", "[[[2,0],[0,1]]]", "[[1/0,0],[0,1]]",
+           "[1/0,0,0,1,1]", "[0,0,0,1,1/0]", "[0,0,0,0,0]", "-3", "0", "30"]
+_CAPPED = {"--upto": ["-5", "0", "1/0", "nan"], "--trials": ["-1", "0", "x"],
+           # one path under a missing directory, one that is a directory
+           "--output": [os.path.join(os.path.dirname(__file__), "no-such-dir",
+                                     "x.json"), os.path.dirname(__file__)]}
+
+
+@st.composite
+def _argv(draw):
+    path = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = list(path)
+    # every subcommand argument most of the time, a common flag rarely
+    for slots, odds in ((_COMMANDS[path], 8), (_COMMON, 1)):
+        for opt, valid in slots:
+            if opt is not None and draw(st.integers(0, 9)) >= odds:
+                continue
+            bad = _CAPPED.get(opt, _TOKENS)
+            value = draw(st.sampled_from(
+                valid if valid and draw(st.booleans()) else bad))
+            argv += [value] if opt is None else [opt, value]
+    return argv
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_argv())
+def test_cli_contract_holds_for_malformed_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    # any exception but argparse's SystemExit escapes and fails the test
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+            assert out.getvalue() == "", argv
+    assert code in (0, 1, 2, 3), argv
+    if out.getvalue():
+        json.loads(out.getvalue())  # exactly one document, nothing after

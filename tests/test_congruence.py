@@ -26,6 +26,7 @@ from heckelab.congruence import (
     principal,
     required_level,
     sl2_order,
+    subgroup_order,
     torsion_advisory,
 )
 from heckelab.errors import BadDeterminant, IncompatibleLevel, LevelTooLarge
@@ -107,6 +108,45 @@ def test_closure_is_a_subgroup():
             assert H <= set(fmg.elements)
             assert all(fmg.mul(h, g) in H for h in H for g in gens)
             assert sl2_order(N) % len(H) == 0
+
+
+def _st_word(rng):
+    """A seeded word of 1 to 12 letters in S, T and their inverses."""
+    w = (1, 0, 0, 1)
+    for _ in range(rng.randint(1, 12)):
+        a, b, c, d = w
+        e, f, g, h = rng.choice([(0, -1, 1, 0), (0, 1, -1, 0),
+                                 (1, 1, 0, 1), (1, -1, 0, 1)])
+        w = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+    return w
+
+
+def _kernel_layer_sets(N, p):
+    """Generators I + mX, m = N/p, paired with the F_p-rank of the X's:
+    every rank 0..3 of the abelian layer ker(SL2(Z/N) -> SL2(Z/m))."""
+    m = N // p
+    return [([], 0), ([(1, 0, 0, 1)], 0), ([(1, m, 0, 1)], 1),
+            ([(1, 0, m, 1)], 1), ([(1 + m, 0, 0, 1 - m)], 1),
+            ([(1, m, 0, 1), (1, 2 * m, 0, 1)], 1),
+            ([(1, m, 0, 1), (1, 0, m, 1)], 2),
+            ([(1 + m, 0, 0, 1 - m), (1, 0, m, 1)], 2),
+            ([(1 + m, 0, 0, 1 - m), (1, m, 0, 1), (1, 0, m, 1)], 3),
+            ([(1 + m, m, 0, 1 - m), (1, m, 0, 1), (1, m, m, 1 - m)], 3)]
+
+
+def test_subgroup_order_matches_closure():
+    rng = random.Random(30)
+    full_group = [(0, -1, 1, 0), (1, 1, 0, 1)]
+    for N in list(range(1, 31)) + [32, 49]:
+        sets = [full_group, []] + [
+            [_st_word(rng) for _ in range(rng.randint(1, 3))]
+            for _ in range(8)]
+        for gens in sets:
+            assert subgroup_order(gens, N) == len(closure(gens, N)), (N, gens)
+    for N, p in ((4, 2), (8, 2), (16, 2), (9, 3), (27, 3), (25, 5), (49, 7)):
+        for gens, rank in _kernel_layer_sets(N, p):
+            assert len(closure(gens, N)) == p ** rank, (N, gens)
+            assert subgroup_order(gens, N) == p ** rank, (N, gens)
 
 
 def test_lift_round_trip():
