@@ -30,7 +30,7 @@ class AxiomReport:
     params: dict
     seed: int | None
     trials: int
-    max_residual: float
+    max_residual: float | None  # None when no trial ran
     verdict: str
     witnesses: tuple = field(default_factory=tuple)
 
@@ -72,7 +72,7 @@ def check_mod1(n: int, trials: int = 20, tol: float = 1e-6, seed: int = 0,
             y = j(NumericPoint(tau.re * n, tau.im * n, ctx.prec_bits), ctx).value
             rows.append((t, tau, phi.residual(x, y)))
     except PrecisionExhausted as exc:
-        return AxiomReport(f"MOD1({n})", params, seed, 0, float("nan"),
+        return AxiomReport(f"MOD1({n})", params, seed, 0, None,
                            "inconclusive", ({"error": str(exc)},))
     max_res = max((r for _, _, r in rows), default=0.0)
     bad = [
@@ -114,7 +114,7 @@ def check_mod2(n: int, X0, tol: float = 1e-4, seed: int | None = None,
         ]
         roots = correspondence_fiber(phi, X0, prec_bits=ctx.prec_bits, tol=tol)
     except (IllConditioned, NoConvergence, PrecisionExhausted) as exc:
-        return AxiomReport(f"MOD2({n})", params, seed, 0, float("nan"),
+        return AxiomReport(f"MOD2({n})", params, seed, 0, None,
                            "inconclusive", ({"error": str(exc)},))
     worst, perm = _optimal_match(roots, images)
     pairs = tuple(

@@ -405,7 +405,12 @@ def main(argv=None) -> int:
         },
         "report": report,
     }
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # NaN and Infinity are not JSON
+        print("error: the report holds a number that overflows a double",
+              file=sys.stderr)
+        return USAGE
     if args.output:
         try:
             with open(args.output, "w") as fh:

@@ -128,13 +128,13 @@ class ModularPolynomial:
         return total
 
     def max_monomial(self, x, y) -> float:
+        # ax ** i rounds once where a running product would round i times,
+        # which would move the last digit of the reported residual
         ax, ay = abs(x), abs(y)
-        best = 0.0
-        for (i, j), c in self.coeffs.items():
-            m = abs(c) * ax ** i * ay ** j
-            if m > best:
-                best = float(m)
-        return best
+        xs = [ax ** i for i in range(self.degX + 1)]
+        ys = [ay ** j for j in range(self.degY + 1)]
+        return max((float(abs(c) * xs[i] * ys[j])
+                    for (i, j), c in self.coeffs.items()), default=0.0)
 
     def residual(self, x, y) -> float:
         """|Phi(x,y)| relative to the largest monomial at the point."""

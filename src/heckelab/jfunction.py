@@ -4,9 +4,13 @@ Evaluation reduces the argument to the standard fundamental domain
 (|Re| <= 1/2, |tau| >= 1) and sums the integer q-expansion there, where
 |q| <= e^{-pi*sqrt(3)} makes the tail geometric.  The reported error bound
 uses |c_m| <= e^{4*pi*sqrt(m)}, which dominates the true coefficients.
-Inversion is Newton's method in mpmath, seeded from a coarse grid of
-double-precision j values over the domain.  The seed only picks where
-Newton starts: its step rule and the closing j re-check at full
+The head of the series is summed by one Horner kernel in Gaussian fixed
+point (Python ints scaled by 2^bits, after Enge's fixed-point evaluation
+of q-series); at a reduced point it is off by at most 2^(20-bits), and
+j sums with bits = prec+60, far under the 2^-prec term of the bound.
+Inversion is Newton's method on the same kernel, seeded from a coarse
+grid of double-precision j values over the domain.  The seed only picks
+where Newton starts: its step rule and the closing j re-check at full
 precision decide every answer.
 """
 
@@ -22,14 +26,14 @@ import mpmath
 
 from .errors import NoConvergence, PrecisionExhausted
 from .moebius import CMPoint, NumericPoint, RatMatrix, act
-from .qexp import j_coefficients
+from .qexp import DEFAULT_TERMS, j_coefficients
 
 S = RatMatrix(0, -1, 1, 0)
 
 
 @dataclass(frozen=True)
 class QSeriesContext:
-    terms: int = 64
+    terms: int = DEFAULT_TERMS
     prec_bits: int = 128
 
     def __post_init__(self):
@@ -95,10 +99,34 @@ def reduce_fundamental_exact(tau: CMPoint):
             return gamma, tau
 
 
+def _horner(coeffs, q: mpmath.mpc, bits: int) -> mpmath.mpc:
+    """sum_m coeffs[m] q^m for integer coeffs, in bits-bit fixed point.
+
+    q is read once as qr + i*qi over 2^bits, each part truncated (exact
+    ldexp, then int), and each Horner step floors both parts of v*q to a
+    multiple of 2^-bits.  For |q| <= r < 1 the result is off by less than
+
+        sqrt(2) 2^-bits (sum_m m |c_m| r^(m-1) + 1/(1-r)):
+
+    truncating q moves it by under sqrt(2) 2^-bits, toward 0, so the
+    polynomial moves by at most that times max |P'| on the disc of radius
+    r; each floor adds under sqrt(2) 2^-bits, and later steps multiply it
+    by q.  At a reduced point r = e^{-pi*sqrt(3)} and, the j coefficients
+    c_0, c_1, ... being positive, sum_m m c_m r^(m-1) < 4.4e5 < 2^19 at
+    every length, so the error is under 2^(20-bits).
+    """
+    qr = int(mpmath.ldexp(q.real, bits))
+    qi = int(mpmath.ldexp(q.imag, bits))
+    vr = vi = 0
+    for c in reversed(coeffs):
+        vr, vi = (((vr * qr - vi * qi) >> bits) + (c << bits),
+                  (vr * qi + vi * qr) >> bits)
+    return mpmath.mpc(mpmath.ldexp(vr, -bits), mpmath.ldexp(vi, -bits))
+
+
 def _series_eval(z: mpmath.mpc, ctx: QSeriesContext):
     """(value, tail bound) of the q-expansion at a reduced point."""
     K = ctx.terms
-    coeffs = j_coefficients(K)
     q = mpmath.exp(2j * mpmath.pi * z)
     absq = abs(q)
     # geometric tail: |c_m| <= e^{4 pi sqrt(m)} and the term ratio beyond K
@@ -108,11 +136,9 @@ def _series_eval(z: mpmath.mpc, ctx: QSeriesContext):
         raise PrecisionExhausted(f"tail ratio {float(rho):.3f} >= 1 at {K} terms")
     head = mpmath.exp(4 * mpmath.pi * mpmath.sqrt(K)) * absq ** K
     tail = head / (1 - rho)
-    value = mpmath.mpc(0)
-    for m in range(K - 1, -1, -1):
-        value = value * q + coeffs[m + 1]
-    value = value + 1 / q
-    # series evaluated at >= prec+40 guard bits; rounding well under the tail
+    value = _horner(j_coefficients(K)[1:], q, ctx.prec_bits + 60) + 1 / q
+    # the kernel's 2^(-prec-40) and the rounding at prec+40 bits sit well
+    # under the 2^-prec term
     return value, float(tail + mpmath.mpf(2) ** (-ctx.prec_bits) * (1 + abs(value)))
 
 
@@ -163,8 +189,9 @@ def _grid_start(x0: complex) -> complex:
 def invert_j(X0, ctx: QSeriesContext = DEFAULT_CTX) -> NumericPoint:
     """tau in the fundamental domain with j(tau) = X0.
 
-    Newton on the q-expansion; converges linearly at the ramified values
-    0 and 1728, which the step-size stopping rule tolerates.
+    Newton on the q-expansion, j and j' summed by the fixed-point kernel
+    from one exp(2 pi i z) per step; converges linearly at the ramified
+    values 0 and 1728, which the step-size stopping rule tolerates.
     """
     prec = ctx.prec_bits
     with mpmath.workprec(prec + 40):
@@ -176,26 +203,17 @@ def invert_j(X0, ctx: QSeriesContext = DEFAULT_CTX) -> NumericPoint:
             z = mpmath.mpc(z.real - mpmath.nint(z.real), z.imag)
         else:
             z = mpmath.mpc(_grid_start(complex(X0)))
-        coeffs = j_coefficients(ctx.terms)
-
-        def jval(zz):
-            qq = mpmath.exp(2j * mpmath.pi * zz)
-            v = mpmath.mpc(0)
-            for m in range(ctx.terms - 1, -1, -1):
-                v = v * qq + coeffs[m + 1]
-            return v + 1 / qq
-
-        def jprime(zz):
-            qq = mpmath.exp(2j * mpmath.pi * zz)
-            v = mpmath.mpc(0)
-            for m in range(ctx.terms - 1, 0, -1):
-                v = v * qq + m * coeffs[m + 1]
-            v = v * qq  # d/dq applied, multiply back the chain q factor
-            return (v - 1 / qq) * 2j * mpmath.pi
+        coeffs = j_coefficients(ctx.terms)[1:]
+        dcoeffs = [m * c for m, c in enumerate(coeffs)]  # q d/dq
+        # near 0 and 1728 the residual is cubic or quadratic in the distance
+        # to the root, so it must resolve about 2^(-3 prec / 2) to settle
+        bits = 2 * prec + 80
 
         for _ in range(400):
-            fv = jval(z) - X0
-            dv = jprime(z)
+            qq = mpmath.exp(2j * mpmath.pi * z)
+            inv = 1 / qq
+            fv = _horner(coeffs, qq, bits) + inv - X0
+            dv = (_horner(dcoeffs, qq, bits) - inv) * 2j * mpmath.pi
             if dv == 0:
                 z += mpmath.mpc("1e-6", "1e-6")
                 continue

@@ -4,6 +4,8 @@ Truncated power series are plain lists of Python ints, entry t holding the
 coefficient of q^t.  The j-series is produced as E4^3 / Delta with the
 leading 1/q split off, so every coefficient is an exact integer; the
 E4^3 - E6^2 = 1728*Delta identity gives an independent consistency check.
+Every length of the j-series is read as a prefix of one table, which is
+rebuilt only when a longer one is asked for.
 """
 
 from __future__ import annotations
@@ -27,15 +29,15 @@ def series_mul(f: list, g: list, K: int) -> list:
 
 def series_pow(f: list, e: int, K: int) -> list:
     """f**e truncated to K terms, by binary powering."""
-    result = [1] + [0] * (K - 1)
+    result = None
     base = list(f[:K]) + [0] * max(0, K - len(f))
-    while True:
+    while e:
         if e & 1:
-            result = series_mul(result, base, K)
+            result = base if result is None else series_mul(result, base, K)
         e >>= 1
-        if not e:
-            return result
-        base = series_mul(base, base, K)
+        if e:
+            base = series_mul(base, base, K)
+    return [1] + [0] * (K - 1) if result is None else result
 
 
 def series_inv(f: list, K: int) -> list:
@@ -92,16 +94,29 @@ def delta_over_q(K: int) -> list:
     return series_pow(euler, 24, K)
 
 
+# j is summed to DEFAULT_TERMS terms unless a context asks for more, and the
+# first table covers them.  So a default request builds it once: `axiom
+# mod1` and `mod2` read Phi_3's 76 terms before j's 64 and the 32 of the
+# invert_j start grid.
+DEFAULT_TERMS = 64
+_qj_table: list = []
+
+
+def _qj_series(n: int) -> list:
+    """q*j = E4^3 * (Delta/q)^{-1} to n terms."""
+    e4cubed = series_pow(eisenstein4(n), 3, n)
+    return series_mul(e4cubed, series_inv(delta_over_q(n), n), n)
+
+
 @lru_cache(maxsize=None)
 def j_coefficients(K: int) -> tuple:
     """Coefficients (c_{-1}, c_0, ..., c_{K-1}) of j = sum c_m q^m.
 
-    c_{-1} = 1, c_0 = 744.  Computed as E4^3 * (Delta/q)^{-1} = q*j.
+    c_{-1} = 1, c_0 = 744.  A prefix of the shared q*j table.
     """
-    n = K + 1
-    e4cubed = series_pow(eisenstein4(n), 3, n)
-    qj = series_mul(e4cubed, series_inv(delta_over_q(n), n), n)
-    return tuple(qj)
+    if len(_qj_table) < K + 1:
+        _qj_table[:] = _qj_series(max(K, DEFAULT_TERMS) + 1)
+    return tuple(_qj_table[:K + 1])
 
 
 @lru_cache(maxsize=None)

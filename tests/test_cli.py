@@ -9,15 +9,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckelab import cli, galois
+from heckelab import cli, galois, jfunction, qexp
 from heckelab.congruence import sl2_order
 from heckelab.errors import OrderAmbiguous
+
+
+def _not_json(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def strict_loads(text):
+    """json.loads that rejects the NaN and Infinity that Python writes."""
+    return json.loads(text, parse_constant=_not_json)
 
 
 def run(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr().out
-    return code, json.loads(out) if out else None
+    return code, strict_loads(out) if out else None
 
 
 def test_special_point_witness(capsys):
@@ -99,6 +108,39 @@ def test_axiom_mod2_huge_X0_is_inconclusive(capsys):
     code, doc = run(capsys, ["axiom", "mod2", "--n", "2", "--X0=1e300"])
     assert code == 3
     assert doc["report"]["verdict"] == "inconclusive"
+    assert doc["report"]["max_residual"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["j", "0+1000i"],
+    ["j", "0+0.002i"],
+    ["axiom", "sp", "--D", "-1", "--x=0", "--y=1000"],
+])
+def test_report_that_overflows_a_double_is_usage_error(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "overflows a double" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["axiom", "mod1", "--n", "2"],
+    ["axiom", "mod1", "--n", "3"],
+    ["axiom", "mod2", "--n", "2", "--X0=-100+3i"],
+    ["axiom", "mod2", "--n", "3", "--X0=-100+3i"],
+    ["j", "--", "0.3+0.02i"],
+])
+def test_cold_request_builds_the_j_series_once(argv, monkeypatch, capsys):
+    builds = []
+    real = qexp._qj_series
+    monkeypatch.setattr(qexp, "_qj_table", [])
+    monkeypatch.setattr(qexp, "_qj_series",
+                        lambda n: builds.append(n) or real(n))
+    for cached in (qexp.j_coefficients, qexp.j_power_coefficients,
+                   jfunction._start_grid):
+        cached.cache_clear()
+    assert cli.main(argv) == 0
+    assert len(builds) == 1, builds
 
 
 def test_cli_import_leaves_out_numpy():
@@ -498,4 +540,4 @@ def test_cli_contract_holds_for_malformed_argv(argv):
             assert out.getvalue() == "", argv
     assert code in (0, 1, 2, 3), argv
     if out.getvalue():
-        json.loads(out.getvalue())  # exactly one document, nothing after
+        strict_loads(out.getvalue())  # one strict document, nothing after

@@ -13,7 +13,7 @@ from heckelab.jfunction import (
     DEFAULT_CTX,
     QSeriesContext,
     _grid_start,
-    _series_eval,
+    _horner,
     _start_grid,
     invert_j,
     j,
@@ -21,6 +21,7 @@ from heckelab.jfunction import (
     reduce_fundamental_exact,
 )
 from heckelab.moebius import CMPoint, NumericPoint, RatMatrix, act
+from heckelab.qexp import j_coefficients
 
 S = RatMatrix(0, -1, 1, 0)
 T = RatMatrix(1, 1, 0, 1)
@@ -137,8 +138,8 @@ def test_invert_j_large_value():
 
 def _mpmath_start_grid():
     """The start grid as first written: the j-series summed in mpmath."""
+    coeffs = j_coefficients(32)
     pts = []
-    ctx = QSeriesContext(terms=32, prec_bits=64)
     with mpmath.workprec(80):
         for i in range(40):
             re = -0.5 + (i + 0.5) / 40
@@ -147,8 +148,11 @@ def _mpmath_start_grid():
                 z = mpmath.mpc(re, im)
                 if abs(z) < 1:
                     continue
-                val, _ = _series_eval(z, ctx)
-                pts.append((complex(val), complex(z)))
+                q = mpmath.exp(2j * mpmath.pi * z)
+                val = mpmath.mpc(0)
+                for m in range(31, -1, -1):
+                    val = val * q + coeffs[m + 1]
+                pts.append((complex(val + 1 / q), complex(z)))
     return pts
 
 
@@ -183,6 +187,51 @@ def test_invert_j_on_the_real_axis(X0):
     # the grid is mirror-symmetric, so a real X0 ties two start points
     back = j(invert_j(X0)).value
     assert abs(back - X0) <= 1e-6 * abs(X0)
+
+
+@pytest.mark.parametrize("prec", [128, 192, 512])
+@pytest.mark.parametrize("X0", [0, 1728, 1e-30, 1728 + 1e-20j])
+def test_invert_j_at_ramified_values(X0, prec):
+    # j - 0 vanishes to third order at rho and j - 1728 to second at i
+    ctx = QSeriesContext(prec_bits=prec)
+    tau = invert_j(X0, ctx)
+    z = tau.value()
+    assert abs(z.real) <= 0.5 + 1e-12 and abs(z) >= 1 - 1e-12
+    back = j(tau, ctx).value
+    with mpmath.workprec(prec + 40):
+        assert abs(back - X0) <= mpmath.ldexp(1, -prec // 2) * (1 + abs(X0))
+
+
+def test_horner_within_its_bound():
+    # |q| at its largest over the reduced domain, all around the circle
+    coeffs = j_coefficients(64)[1:]
+    for bits in (64, 100, 300):
+        with mpmath.workprec(4 * bits):
+            r = mpmath.exp(-mpmath.pi * mpmath.sqrt(3))
+        for k in range(16):
+            with mpmath.workprec(bits + 40):
+                q = r * mpmath.expjpi(mpmath.mpf(k) / 8)
+                got = _horner(coeffs, q, bits)
+            with mpmath.workprec(4 * bits):
+                want = mpmath.polyval(coeffs[::-1], q)
+                assert abs(got - want) <= mpmath.ldexp(1, 20 - bits)
+
+
+def test_j_matches_kleinj():
+    # 200 seeded points near the real axis and above it, each against
+    # mpmath's theta-function kleinj at 80 more bits
+    rng = random.Random(71)
+    ctxs = [DEFAULT_CTX, QSeriesContext(prec_bits=256),
+            QSeriesContext(prec_bits=1024), DEFAULT_CTX.refined()]
+    bands = [(0.01, 0.06), (0.1, 0.9), (0.9, 3.0)]
+    for k in range(200):
+        lo, hi = bands[k % 3]
+        ctx = ctxs[k % 4]
+        tau = NumericPoint(rng.uniform(-2, 2), rng.uniform(lo, hi))
+        got = j(tau, ctx)
+        with mpmath.workprec(ctx.prec_bits + 80):
+            want = 1728 * mpmath.kleinj(mpmath.mpc(tau.re, tau.im))
+            assert abs(got.value - want) <= got.abs_err, (tau, ctx)
 
 
 def test_cli_import_leaves_start_grid_unbuilt():

@@ -1,9 +1,11 @@
 import random
 
+from heckelab import qexp
 from heckelab.qexp import (
     delta_over_q,
     eisenstein4,
     eisenstein6,
+    j_coefficients,
     series_mul,
     series_pow,
 )
@@ -27,3 +29,14 @@ def test_eisenstein_cubes_minus_squares_is_1728_delta():
     delta = [0] + delta_over_q(K - 1)  # Delta = q * prod (1 - q^n)^24
     assert delta[:4] == [0, 1, -24, 252]
     assert lhs == [1728 * c for c in delta]
+
+
+def test_j_coefficients_are_prefixes_of_one_table(monkeypatch):
+    monkeypatch.setattr(qexp, "_qj_table", [])
+    j_coefficients.cache_clear()
+    short, long = j_coefficients(32), j_coefficients(128)
+    assert short[:4] == (1, 744, 196884, 21493760)
+    assert long[:33] == short
+    # the same numbers as E4^3/Delta built at exactly that length
+    assert tuple(qexp._qj_series(33)) == short
+    assert tuple(qexp._qj_series(129)) == long
