@@ -68,9 +68,11 @@ def check_mod1(n: int, trials: int = 20, tol: float = 1e-6, seed: int = 0,
         for t in range(trials):
             tau = NumericPoint(rng.uniform(-0.5, 0.5), rng.uniform(0.9, 2.0),
                                ctx.prec_bits)
-            x = j(tau, ctx).value
-            y = j(NumericPoint(tau.re * n, tau.im * n, ctx.prec_bits), ctx).value
-            rows.append((t, tau, phi.residual(x, y)))
+            # n*tau and Phi_n are both formed at the working precision
+            with mpmath.workprec(ctx.prec_bits):
+                ntau = NumericPoint(tau.re * n, tau.im * n, ctx.prec_bits)
+                x, y = j(tau, ctx).value, j(ntau, ctx).value
+                rows.append((t, tau, phi.residual(x, y)))
     except PrecisionExhausted as exc:
         return AxiomReport(f"MOD1({n})", params, seed, 0, None,
                            "inconclusive", ({"error": str(exc)},))

@@ -266,22 +266,21 @@ def _run_special(args):
             "witness_class": classify(g).kind.value,
             "round_trip_exact": fixed_point(g) == tau,
         }
-        params = {"D": args.D, "x": str(args.x), "y": str(args.y)}
-        return params, report, OK if report["round_trip_exact"] else FAIL
+        return report, OK if report["round_trip_exact"] else FAIL
     g = parse_matrix(args.m)
     cls = classify(g)
     report = {"matrix": str(g), "classification": cls.kind.value,
               "disc": str(cls.disc), "fixed_point": None}
     if cls.kind is ElementKind.ELLIPTIC:
         report["fixed_point"] = fixed_point(g).to_dict()
-    return {"m": args.m}, report, OK
+    return report, OK
 
 
 def _run_hecke_cosets(args):
     dec = double_coset_reps(args.n)
     report = {"n": args.n, "count": len(dec.reps), "psi": psi(args.n),
               "reps": [str(m) for m in dec.reps]}
-    return {"n": args.n}, report, OK
+    return report, OK
 
 
 def _run_modpoly(args):
@@ -290,14 +289,14 @@ def _run_modpoly(args):
               "symmetric": phi.is_symmetric(),
               "coefficients": [[i, k, c] for (i, k), c in
                                sorted(phi.coeffs.items()) if c != 0]}
-    return {"n": args.n}, report, OK
+    return report, OK
 
 
 def _run_j(args):
     z = _parse_complex(args.tau)
     res = j(NumericPoint(z.real, z.imag, args.precision_bits), _ctx(args))
     report = {"tau": [z.real, z.imag], **res.to_dict()}
-    return {"tau": args.tau}, report, OK
+    return report, OK
 
 
 def _run_axiom(args):
@@ -305,48 +304,40 @@ def _run_axiom(args):
     if args.family == "mod1":
         rep = check_mod1(args.n, trials=args.trials, tol=_tol(args, 1e-6),
                          seed=args.seed, ctx=ctx)
-        params = {"n": args.n, "trials": args.trials}
     elif args.family == "mod2":
         rep = check_mod2(args.n, _parse_complex(args.X0),
                          tol=_tol(args, 1e-4), seed=args.seed, ctx=ctx)
-        params = {"n": args.n, "X0": args.X0}
     elif args.family == "sp":
         rep = check_sp(CMPoint(args.D, args.x, args.y),
                        tol=_tol(args, 1e-8), ctx=ctx)
-        params = {"D": args.D, "x": str(args.x), "y": str(args.y)}
     else:
         rep = check_sf(args.N)
-        params = {"N": args.N}
-    return params, rep.to_dict(), _verdict_exit(rep.verdict)
+    return rep.to_dict(), _verdict_exit(rep.verdict)
 
 
 def _run_frobenius(args):
     sample = frobenius_sample(parse_curve(args.curve), args.upto)
-    return {"curve": args.curve, "upto": args.upto}, sample.to_dict(), OK
+    return sample.to_dict(), OK
 
 
 def _run_image(args):
     cert = certify_mod_p_image(parse_curve(args.curve), args.p, args.upto)
     code = INCONCLUSIVE if cert.verdict == "Inconclusive" else OK
-    params = {"curve": args.curve, "p": args.p, "upto": args.upto}
-    return params, cert.to_dict(), code
+    return cert.to_dict(), code
 
 
 def _run_goursat(args):
     cert = certify_goursat_pair(parse_curve(args.curve1),
                                 parse_curve(args.curve2), args.p, args.upto)
     code = INCONCLUSIVE if cert.verdict == "Inconclusive" else OK
-    params = {"curve1": args.curve1, "curve2": args.curve2, "p": args.p,
-              "upto": args.upto}
-    return params, cert.to_dict(), code
+    return cert.to_dict(), code
 
 
 def _run_lifting(args):
     gens = (standard_lifts(args.p) if args.gens is None
             else _parse_gens(args.gens, args.p ** 2))
     rep = lifting_check(args.p, gens)
-    params = {"p": args.p, "gens": args.gens}
-    return params, rep.to_dict(), OK if rep.full else FAIL
+    return rep.to_dict(), OK if rep.full else FAIL
 
 
 def _run_types(args):
@@ -364,10 +355,11 @@ def _run_types(args):
     else:
         raise ValueError("pass --gens, one --curve, or two --curve flags")
     rep = type_count_report(subject, args.level, bound=args.upto)
-    params = {"curve": args.curve, "gens": args.gens, "level": args.level,
-              "upto": args.upto}
-    return params, rep.to_dict(), OK
+    return rep.to_dict(), OK
 
+
+_NOT_PARAMS = {"command", "mode", "family", "seed", "precision_bits",
+               "tolerance", "threads", "output"}
 
 _HANDLERS = {
     "special": _run_special,
@@ -386,14 +378,17 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        params, report, code = _HANDLERS[args.command](args)
+        report, code = _HANDLERS[args.command](args)
     except _INCONCLUSIVE_ERRORS as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return INCONCLUSIVE
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    # --threads is read by nothing, so it stays out of the config
+    # every parsed argument outside the common flags and the subcommand
+    # path is a parameter; --threads is read by nothing and stays out
+    params = {k: str(v) if isinstance(v, Fraction) else v
+              for k, v in vars(args).items() if k not in _NOT_PARAMS}
     doc = {
         "command": args.command,
         "config": {

@@ -8,18 +8,15 @@ The head of the series is summed by one Horner kernel in Gaussian fixed
 point (Python ints scaled by 2^bits, after Enge's fixed-point evaluation
 of q-series); at a reduced point it is off by at most 2^(20-bits), and
 j sums with bits = prec+60, far under the 2^-prec term of the bound.
-Inversion is Newton's method on the same kernel, seeded from a coarse
-grid of double-precision j values over the domain.  The seed only picks
-where Newton starts: its step rule and the closing j re-check at full
-precision decide every answer.
+Inversion needs no starting guess: tau is the period ratio of an
+elliptic curve with the wanted j-invariant, from the complex AGM, and the
+closing j re-check at full precision decides every answer.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import floor
 
 import mpmath
@@ -158,75 +155,59 @@ def j(tau, ctx: QSeriesContext = DEFAULT_CTX) -> JResult:
     return JResult(value, err)
 
 
-@cache
-def _start_grid():
-    """(j(z), z) at 40x40 points of the fundamental domain, in floats.
+def _agm(x, y):
+    """AGM(x, y) with the optimal square root at every step.
 
-    Only Newton's seed is read from it, so double precision is enough.
+    Before each step y is negated if that brings it nearer x, so
+    |x - y| <= |x + y| throughout; the sequence then converges
+    quadratically for any complex start (Cremona and Thongjunthug).
     """
-    coeffs = j_coefficients(32)[:0:-1]  # c_31, ..., c_0 for Horner
-    pts = []
-    for i in range(40):
-        re = -0.5 + (i + 0.5) / 40
-        for k in range(40):
-            im = 0.5 + 3.5 * (k + 0.5) / 40
-            z = complex(re, im)
-            if abs(z) < 1:
-                continue
-            q = cmath.exp(2j * cmath.pi * z)
-            val = 0j
-            for c in coeffs:
-                val = val * q + c
-            pts.append((val + 1 / q, z))
-    return pts
-
-
-def _grid_start(x0: complex) -> complex:
-    """The grid point whose j value lies nearest x0."""
-    return min(_start_grid(), key=lambda p: abs(p[0] - x0))[1]
+    prec = mpmath.mp.prec
+    for _ in range(prec):
+        if abs(x - y) > abs(x + y):
+            y = -y
+        if abs(x - y) <= mpmath.ldexp(abs(x), 4 - prec):
+            return x
+        x, y = (x + y) / 2, mpmath.sqrt(x * y)
+    raise NoConvergence(f"AGM did not settle from {complex(x)}, {complex(y)}")
 
 
 def invert_j(X0, ctx: QSeriesContext = DEFAULT_CTX) -> NumericPoint:
     """tau in the fundamental domain with j(tau) = X0.
 
-    Newton on the q-expansion, j and j' summed by the fixed-point kernel
-    from one exp(2 pi i z) per step; converges linearly at the ramified
-    values 0 and 1728, which the step-size stopping rule tolerates.
+    tau is the period ratio of y^2 = 4x^3 - g2 x - g3, a curve with
+    j-invariant X0: the roots e1, e2, e3 come from Cardano's formula and
+    the periods pi/AGM(a, b), pi/AGM(a, c) from the optimal complex AGM of
+    a, b, c = sqrt(e1 - e3), sqrt(e1 - e2), sqrt(e2 - e3) (Cremona and
+    Thongjunthug, J. Number Theory 133 (2013)).  No starting guess is
+    needed, and the ramified values 0 and 1728 come out at full precision.
+    As X0 grows two roots close in at distance about |X0|^(-1/2), so the
+    work runs about log2(1 + |X0|) bits above prec + 40.  The q-series value
+    j(tau) is then compared with X0; that second computation alone
+    decides the answer.
     """
     prec = ctx.prec_bits
-    with mpmath.workprec(prec + 40):
+    with mpmath.workprec(prec + 40 + max(0, mpmath.mag(X0))):
         X0 = mpmath.mpc(X0)
-        if abs(X0) > 1e9:
-            # j ~ 1/q for large values; start from the dominant term
-            q0 = 1 / X0
-            z = mpmath.log(q0) / (2j * mpmath.pi)
-            z = mpmath.mpc(z.real - mpmath.nint(z.real), z.imag)
+        if X0 == 0:
+            g2, g3 = 0, 1
+        elif X0 == 1728:
+            g2, g3 = 1, 0
         else:
-            z = mpmath.mpc(_grid_start(complex(X0)))
-        coeffs = j_coefficients(ctx.terms)[1:]
-        dcoeffs = [m * c for m, c in enumerate(coeffs)]  # q d/dq
-        # near 0 and 1728 the residual is cubic or quadratic in the distance
-        # to the root, so it must resolve about 2^(-3 prec / 2) to settle
-        bits = 2 * prec + 80
-
-        for _ in range(400):
-            qq = mpmath.exp(2j * mpmath.pi * z)
-            inv = 1 / qq
-            fv = _horner(coeffs, qq, bits) + inv - X0
-            dv = (_horner(dcoeffs, qq, bits) - inv) * 2j * mpmath.pi
-            if dv == 0:
-                z += mpmath.mpc("1e-6", "1e-6")
-                continue
-            step = fv / dv
-            z = z - step
-            if z.imag <= 0.05:
-                z = mpmath.mpc(z.real, 0.05)
-            if abs(step) < mpmath.mpf(2) ** (-(prec // 2)) * max(1, abs(z)):
-                break
-        else:
-            raise NoConvergence(f"Newton did not settle for X0 = {complex(X0)}")
-        pt = NumericPoint(z.real, z.imag, prec)
-        _, red = reduce_fundamental(pt)
+            g2 = g3 = 27 * X0 / (X0 - 1728)
+        # 4x^3 - g2 x - g3 = 4(x^3 + p x + r); Cardano, taking the larger
+        # cube u^3 so that u is never 0
+        p, r = mpmath.mpc(g2) / -4, mpmath.mpc(g3) / -4
+        s = mpmath.sqrt(r * r / 4 + p ** 3 / 27)
+        u = mpmath.cbrt(max(s - r / 2, -s - r / 2, key=abs))
+        w = mpmath.mpc(-0.5, mpmath.sqrt(3) / 2)
+        e1, e2, e3 = (u * k - p / (3 * u * k) for k in (1, w, w.conjugate()))
+        a, b, c = mpmath.sqrt(e1 - e3), mpmath.sqrt(e1 - e2), mpmath.sqrt(e2 - e3)
+        # i * omega1 / omega2 with omega1 = pi/AGM(a, b), omega2 = pi/AGM(a, c)
+        z = 1j * _agm(a, c) / _agm(a, b)
+        if z.imag < 0:
+            z = -z
+        _, red = reduce_fundamental(NumericPoint(z.real, z.imag, prec))
         check = j(red, ctx)
         if abs(check.value - X0) / (1 + abs(X0)) > 1e-6:
             raise NoConvergence(

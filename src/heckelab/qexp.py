@@ -96,8 +96,7 @@ def delta_over_q(K: int) -> list:
 
 # j is summed to DEFAULT_TERMS terms unless a context asks for more, and the
 # first table covers them.  So a default request builds it once: `axiom
-# mod1` and `mod2` read Phi_3's 76 terms before j's 64 and the 32 of the
-# invert_j start grid.
+# mod1` and `mod2` read Phi_3's 76 terms before j's 64.
 DEFAULT_TERMS = 64
 _qj_table: list = []
 

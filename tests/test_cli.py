@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckelab import cli, galois, jfunction, qexp
+from heckelab import cli, galois, qexp
 from heckelab.congruence import sl2_order
 from heckelab.errors import OrderAmbiguous
 
@@ -104,6 +104,29 @@ def test_axiom_mod2(capsys):
     assert doc["report"]["trials"] == 3
 
 
+def test_axiom_mod2_images_at_zero_are_real(capsys):
+    # Phi_2(0, Y) = (Y - 54000)^3, so the three images are real
+    code, doc = run(capsys, ["axiom", "mod2", "--n", "2", "--X0=0"])
+    assert code == 0
+    images = [w["image"] for w in doc["report"]["witnesses"]]
+    assert len(images) == 3
+    for re, im in images:
+        assert abs(re - 54000) < 1e-20 * 54000
+        assert abs(im) < 1e-30
+
+
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_axiom_mod1_residual_follows_the_precision(n, capsys):
+    # n = 3 also needs n*tau formed at the working precision
+    residual = {}
+    for bits in ("128", "512"):
+        code, doc = run(capsys, ["axiom", "mod1", "--n", n,
+                                 "--precision-bits", bits])
+        assert code == 0
+        residual[bits] = doc["report"]["max_residual"]
+    assert residual["512"] < 2.0 ** -256 * residual["128"]
+
+
 def test_axiom_mod2_huge_X0_is_inconclusive(capsys):
     code, doc = run(capsys, ["axiom", "mod2", "--n", "2", "--X0=1e300"])
     assert code == 3
@@ -136,8 +159,7 @@ def test_cold_request_builds_the_j_series_once(argv, monkeypatch, capsys):
     monkeypatch.setattr(qexp, "_qj_table", [])
     monkeypatch.setattr(qexp, "_qj_series",
                         lambda n: builds.append(n) or real(n))
-    for cached in (qexp.j_coefficients, qexp.j_power_coefficients,
-                   jfunction._start_grid):
+    for cached in (qexp.j_coefficients, qexp.j_power_coefficients):
         cached.cache_clear()
     assert cli.main(argv) == 0
     assert len(builds) == 1, builds

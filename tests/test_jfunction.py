@@ -1,8 +1,5 @@
 import cmath
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import mpmath
@@ -12,9 +9,7 @@ from heckelab.errors import NoConvergence
 from heckelab.jfunction import (
     DEFAULT_CTX,
     QSeriesContext,
-    _grid_start,
     _horner,
-    _start_grid,
     invert_j,
     j,
     reduce_fundamental,
@@ -136,55 +131,9 @@ def test_invert_j_large_value():
     assert abs(j(t).value - mpmath.mpc(1e12, 5e11)) / 1e12 < 1e-6
 
 
-def _mpmath_start_grid():
-    """The start grid as first written: the j-series summed in mpmath."""
-    coeffs = j_coefficients(32)
-    pts = []
-    with mpmath.workprec(80):
-        for i in range(40):
-            re = -0.5 + (i + 0.5) / 40
-            for k in range(40):
-                im = 0.5 + 3.5 * (k + 0.5) / 40
-                z = mpmath.mpc(re, im)
-                if abs(z) < 1:
-                    continue
-                q = mpmath.exp(2j * mpmath.pi * z)
-                val = mpmath.mpc(0)
-                for m in range(31, -1, -1):
-                    val = val * q + coeffs[m + 1]
-                pts.append((complex(val + 1 / q), complex(z)))
-    return pts
-
-
-def _mpmath_pick(grid, X0, ctx=DEFAULT_CTX):
-    """Newton's start as first picked: distances to X0 in mpmath."""
-    with mpmath.workprec(ctx.prec_bits + 40):
-        X0 = mpmath.mpc(X0)
-        return min(grid, key=lambda p: abs(p[0] - X0))[1]
-
-
-def test_start_grid_matches_kleinj():
-    grid = _start_grid()
-    assert len(grid) == 1388
-    with mpmath.workdps(30):
-        for val, z in grid:
-            want = 1728 * mpmath.kleinj(mpmath.mpc(z))
-            assert abs(val - want) <= 1e-12 * abs(want)
-
-
-def test_start_pick_matches_mpmath_grid():
-    reference = _mpmath_start_grid()
-    assert [z for _, z in _start_grid()] == [z for _, z in reference]
-    rng = random.Random(61)
-    for _ in range(200):
-        X0 = cmath.rect(10 ** rng.uniform(-2, 9), rng.uniform(-cmath.pi, cmath.pi))
-        assert X0.imag != 0
-        assert _grid_start(X0) == _mpmath_pick(reference, X0)
-
-
 @pytest.mark.parametrize("X0", [0.5, -5.3, -111.3, -9693.7])
 def test_invert_j_on_the_real_axis(X0):
-    # the grid is mirror-symmetric, so a real X0 ties two start points
+    # tau lies on the boundary of the domain for a real X0
     back = j(invert_j(X0)).value
     assert abs(back - X0) <= 1e-6 * abs(X0)
 
@@ -192,14 +141,39 @@ def test_invert_j_on_the_real_axis(X0):
 @pytest.mark.parametrize("prec", [128, 192, 512])
 @pytest.mark.parametrize("X0", [0, 1728, 1e-30, 1728 + 1e-20j])
 def test_invert_j_at_ramified_values(X0, prec):
-    # j - 0 vanishes to third order at rho and j - 1728 to second at i
+    # j - 0 vanishes to third order at rho and j - 1728 to second at i,
+    # yet tau comes out at full precision
     ctx = QSeriesContext(prec_bits=prec)
     tau = invert_j(X0, ctx)
-    z = tau.value()
-    assert abs(z.real) <= 0.5 + 1e-12 and abs(z) >= 1 - 1e-12
-    back = j(tau, ctx).value
+    back = j(tau, ctx)
     with mpmath.workprec(prec + 40):
-        assert abs(back - X0) <= mpmath.ldexp(1, -prec // 2) * (1 + abs(X0))
+        z = tau.value()
+        assert abs(z.real) <= 0.5 and abs(z) >= 1 - 1e-12
+        full = mpmath.ldexp(1, 8 - prec)
+        rho = mpmath.mpc(-0.5, mpmath.sqrt(3) / 2)
+        if X0 == 0:
+            assert min(abs(z - rho), abs(z - rho - 1)) <= full
+        if X0 == 1728:
+            assert abs(z - 1j) <= full
+        assert abs(back.value - X0) <= back.abs_err + full * (1 + abs(X0))
+
+
+def test_invert_j_matches_kleinj():
+    # 320 seeded X0, |X0| log-uniform over [1e-30, 1e300] at all arguments,
+    # every fourth one real (its tau lies on the boundary of the domain),
+    # each against mpmath's theta-function kleinj
+    rng = random.Random(83)
+    for k in range(320):
+        r = 10 ** rng.uniform(-30, 300)
+        X0 = (rng.choice([r, -r]) if k % 4 == 0
+              else cmath.rect(r, rng.uniform(-cmath.pi, cmath.pi)))
+        tau = invert_j(X0)
+        with mpmath.workprec(DEFAULT_CTX.prec_bits + 80):
+            z = tau.value()
+            assert abs(z.real) <= 0.5
+            assert abs(z) ** 2 >= 1 - mpmath.ldexp(1, 10 - DEFAULT_CTX.prec_bits)
+            back = 1728 * mpmath.kleinj(z)
+            assert abs(back - X0) <= mpmath.ldexp(1, -100) * (1 + abs(X0)), X0
 
 
 def test_horner_within_its_bound():
@@ -232,19 +206,6 @@ def test_j_matches_kleinj():
         with mpmath.workprec(ctx.prec_bits + 80):
             want = 1728 * mpmath.kleinj(mpmath.mpc(tau.re, tau.im))
             assert abs(got.value - want) <= got.abs_err, (tau, ctx)
-
-
-def test_cli_import_leaves_start_grid_unbuilt():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(os.path.dirname(__file__), "..", "src")]
-        + [p for p in [env.get("PYTHONPATH")] if p])
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import heckelab.cli, heckelab.jfunction as jf; "
-         "print(jf._start_grid.cache_info().currsize)"],
-        env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "0"
 
 
 def test_error_bound_honest():
