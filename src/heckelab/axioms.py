@@ -6,7 +6,7 @@ a concrete witness that re-fails deterministically.  MOD1 samples the
 polynomial relation along the correspondence, MOD2 matches a polynomial
 fiber against independently computed orbit images, SP ties the exact
 witness round trip to the numeric special value, and SF is transitivity of
-the finite coset action.
+the finite coset action under S and T.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from itertools import permutations
 
 import mpmath
 
-from .congruence import Subgroup, enumerate_sl2, parent_generators
+from .congruence import MAX_LEVEL, sl2_order, subgroup_order
 from .errors import IllConditioned, LevelTooLarge, NoConvergence, PrecisionExhausted
 from .hecke import correspondence_fiber, double_coset_reps, modular_polynomial
 from .jfunction import DEFAULT_CTX, QSeriesContext, invert_j, j
@@ -149,17 +149,15 @@ def check_sp(tau: CMPoint, tol: float = 1e-8,
 
 
 def check_sf(N: int) -> AxiomReport:
-    """Single-orbit check for the level-N coset model under S and T."""
-    if N > 12:
-        raise LevelTooLarge(f"SF check limited to N <= 12, got {N}")
-    params = {"N": N}
-    fmg = enumerate_sl2(N)
-    orbit = Subgroup.generated(fmg, parent_generators(fmg))
-    transitive = len(orbit) == len(fmg)
-    verdict = "pass" if transitive else "fail"
-    witnesses = ()
-    if not transitive:
-        missing = sorted(set(fmg.elements) - orbit.elements)[:3]
-        witnesses = tuple({"unreached_coset": list(m)} for m in missing)
-    return AxiomReport(f"SF({N})", params, None, len(fmg), 0.0, verdict,
+    """Single-orbit check for the level-N coset model under S and T: the
+    orbit of the identity coset is <S, T> mod N, so the action is
+    transitive iff `subgroup_order` of S and T equals the order formula
+    `sl2_order(N)`; a fail carries the order found."""
+    if N > MAX_LEVEL:
+        raise LevelTooLarge(f"N={N} exceeds the scan bound {MAX_LEVEL}")
+    order = subgroup_order([(0, -1, 1, 0), (1, 1, 0, 1)], N)
+    ambient = sl2_order(N)
+    verdict = "pass" if order == ambient else "fail"
+    witnesses = () if order == ambient else ({"order": order},)
+    return AxiomReport(f"SF({N})", {"N": N}, None, ambient, 0.0, verdict,
                        witnesses)

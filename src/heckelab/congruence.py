@@ -5,9 +5,10 @@ Gamma0(N), Gamma1(N), or an intersection of a base group with conjugates
 g_i^-1 . g_i).  Images of descriptors are found by enumerating SL2(Z/N)
 outright and lifting elements back to SL2(Z), which keeps every image and
 index computation exact at the cost of an O(N^3) scan.  For subgroups
-given by generators, `subgroup_order` finds the order in two levels
-without listing the subgroup, and `closure` lists it where the elements
-themselves are needed; neither enumerates SL2(Z/N).
+given by generators, `subgroup_order` finds the order by Schreier-Sims
+over the chain of congruence kernels, one prime of N per layer, without
+listing the subgroup; `closure` lists it where the elements themselves
+are needed.  Neither enumerates SL2(Z/N).
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from __future__ import annotations
 import json
 import re as _re
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .errors import BadDeterminant, IncompatibleLevel, LevelTooLarge
 from .moebius import ElementKind, RatMatrix, classify, parse_matrix
@@ -222,18 +222,22 @@ class FiniteMatrixGroup:
         return tuple(int(e) % self.N for e in gamma.entries())
 
 
+def _prime_factors(n: int) -> list:
+    """The primes of n in ascending order, with multiplicity."""
+    out, p = [], 2
+    while p * p <= n:
+        while n % p == 0:
+            out.append(p)
+            n //= p
+        p += 1
+    return out + [n] if n > 1 else out
+
+
 def sl2_order(N: int) -> int:
     """N^3 * prod_{p | N} (1 - 1/p^2), computed in exact integers."""
     order = N ** 3
-    n, p = N, 2
-    while p * p <= n:
-        if n % p == 0:
-            order = order // (p * p) * (p * p - 1)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        order = order // (n * n) * (n * n - 1)
+    for p in set(_prime_factors(N)):
+        order = order // (p * p) * (p * p - 1)
     return order
 
 
@@ -303,9 +307,10 @@ def closure(gens, N: int) -> set:
     Depth-first from the identity under right multiplication by the
     generators; in a finite group the monoid they generate is the group,
     so no inverses are needed.  Nothing enumerates SL2(Z/N), so N may
-    exceed MAX_LEVEL.  The product is written out because this is the hot
-    loop of every closure in the package.
+    exceed MAX_LEVEL.  The product is written out for speed.
     """
+    if N < 1:
+        raise ValueError(f"N must be positive, got {N}")
     gens = [tuple(v % N for v in g) for g in gens]
     one = (1 % N, 0, 0, 1 % N)
     seen, stack = {one}, [one]
@@ -320,77 +325,80 @@ def closure(gens, N: int) -> set:
     return seen
 
 
-def _largest_prime_factor(n: int) -> int:
-    p, q = 2, 1
-    while p * p <= n:
-        while n % p == 0:
-            n, q = n // p, p
-        p += 1
-    return n if n > 1 else q
-
-
 def subgroup_order(gens, N: int) -> int:
     """|H| for the subgroup H of SL2(Z/N) generated by gens (determinant
-    1 mod N), found without listing H.
+    1 mod N), by deterministic Schreier-Sims (Seress, Permutation Group
+    Algorithms, ch. 4) without listing H.
 
-    With p the largest prime factor of N and m = N/p, |H| = |H mod m| *
-    |H & K|, K the kernel of reduction SL2(Z/N) -> SL2(Z/m).  A
-    depth-first search over H mod m keeps one lift mod N per residue; each
-    product t*s landing on a known residue with lift u gives the Schreier
-    generator t*s*u^-1 of H & K, and these generate H & K (Schreier's
-    lemma; Seress, Permutation Group Algorithms, 4.2).
-    - If p | m, (I + mX)(I + mY) = I + m(X + Y) mod N, p = 2 included, so
-      K is elementary abelian and |H & K| = p^rank of the (X11, X12, X21)
-      over F_p (tr X = 0 mod p fixes X22).
-    - Otherwise K is SL2(Z/p) by CRT, and |H & K| is the order of the
-      `closure` mod p of the Schreier generators, re-closed only when one
-      falls outside it.
+    The chain SL2(Z/N) > K_{m_1} > ... > K_N = 1, K_m the kernel of
+    reduction mod m, adds one prime of N per layer, smallest first.  Layer
+    i keeps a transversal of H & K_{m_{i-1}} keyed by the residue mod m_i:
+    at most |SL2(F_p)| entries, or |F_p^3| when p is already in the chain.
+    A Schreier generator t*s*u^-1 of layer i is sifted down the layers
+    below; where the sift stops at layer j it joins the generators of
+    layers i+1..j.  |H| is the product of the transversal sizes.
     """
-    if N == 1:
-        return 1
-    p = _largest_prime_factor(N)
-    m = N // p
-    abelian = m % p == 0
-    gens = [tuple(v % N for v in g) for g in gens]
-    one = (1, 0, 0, 1)
-    lift, stack = {(1 % m, 0, 0, 1 % m): one}, [one]
-    # abelian K: pivot column -> kernel row over F_p, 1 at its pivot and 0
-    # at the pivots of earlier rows, so one pass in insertion order reduces
-    basis = {}
-    # otherwise: the Schreier generators mod p kept so far, and their closure
-    kgens, inside = [], {one}
-    while stack:
-        a, b, c, d = stack.pop()
-        for e, f, g, h in gens:
-            ts = ((a * e + b * g) % N, (a * f + b * h) % N,
-                  (c * e + d * g) % N, (c * f + d * h) % N)
-            u = lift.setdefault((ts[0] % m, ts[1] % m, ts[2] % m, ts[3] % m),
-                                ts)
-            if u is ts:  # a new residue, and ts its lift
-                stack.append(ts)
-            elif abelian:
-                if len(basis) == 3:  # H & K is all of K
+    if N < 1:
+        raise ValueError(f"N must be positive, got {N}")
+    mods, sizes, m = [], [], 1
+    for p in _prime_factors(N):
+        sizes.append(p ** 3 if m % p == 0 else p * (p * p - 1))
+        m *= p
+        mods.append(m)
+    one = (1, 0, 0, 1)  # every modulus of the chain is at least 2
+    trans = [{one: one} for _ in mods]
+    layer_gens = [[] for _ in mods]
+    filled = len(mods)  # layers filled, filled + 1, ... are complete
+
+    def sift(g, i, u):
+        # g * u^-1 lies in K_{m_{i-1}}: divide by the entry of each layer
+        start = i
+        while i < filled:
+            if u is not one:  # u^-1 is the adjugate of u
+                (a, b, c, d), (e, f, g_, h) = g, u
+                g = ((a * h - b * g_) % N, (b * e - a * f) % N,
+                     (c * h - d * g_) % N, (d * e - c * f) % N)
+            m, (a, b, c, d) = mods[i], g
+            key = (a % m, b % m, c % m, d % m)
+            u = trans[i].get(key)
+            if u is None:
+                for layer in range(i, start - 1, -1):
+                    grow(layer, g)
+                u = trans[i][key]
+            i += 1
+
+    def grow(layer, new):
+        # the old entries times new, then each entry found times all gens
+        nonlocal filled
+        gs, T, m = layer_gens[layer], trans[layer], mods[layer]
+        gs.append(new)
+        todo = list(T.values())
+        old, size = len(todo), sizes[layer]
+        for k, (a, b, c, d) in enumerate(todo):
+            for e, f, g_, h in (gs if k >= old else (new,)):
+                x = ((a * e + b * g_) % N, (a * f + b * h) % N,
+                     (c * e + d * g_) % N, (c * f + d * h) % N)
+                key = x if m == N else (x[0] % m, x[1] % m, x[2] % m,
+                                        x[3] % m)
+                u = T.get(key)
+                if u is None:
+                    T[key] = x
+                    todo.append(x)
+                    if len(T) < size:
+                        continue
+                elif layer + 1 < filled:
+                    sift(x, layer + 1, u)
+                else:
                     continue
-                # ts * adj(u) = I + mX; reduce (X11, X12, X21)
-                x = [((ts[0] * u[3] - ts[1] * u[2]) % N - 1) // m,
-                     (ts[1] * u[0] - ts[0] * u[1]) % N // m,
-                     (ts[2] * u[3] - ts[3] * u[2]) % N // m]
-                for col, row in basis.items():
-                    if x[col]:
-                        x = [(v - x[col] * r) % p for v, r in zip(x, row)]
-                col = next((i for i, v in enumerate(x) if v), None)
-                if col is not None:
-                    inv = pow(x[col], -1, p)
-                    basis[col] = [v * inv % p for v in x]
-            else:
-                y = ((ts[0] * u[3] - ts[1] * u[2]) % p,
-                     (ts[1] * u[0] - ts[0] * u[1]) % p,
-                     (ts[2] * u[3] - ts[3] * u[2]) % p,
-                     (ts[3] * u[0] - ts[2] * u[1]) % p)
-                if y not in inside:
-                    kgens.append(y)
-                    inside = closure(kgens, p)
-    return len(lift) * (p ** len(basis) if abelian else len(inside))
+                while filled and len(trans[filled - 1]) == sizes[filled - 1]:
+                    filled -= 1
+                if filled <= layer:
+                    return
+
+    for g in gens:
+        sift(tuple(v % N for v in g), 0, one)
+    grow = None  # unlink sift <-> grow so the transversals are freed now
+    return prod(len(T) for T in trans)
 
 
 class CosetSpace:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isqrt
 
-from .congruence import CosetSpace, closure, sl2_order, subgroup_order
+from .congruence import CosetSpace, sl2_order, subgroup_order
 from .errors import BadDeterminant, BadReduction, NotSubdirect, OrderAmbiguous
 
 EXHAUSTIVE_LIMIT = 10 ** 5
@@ -457,10 +457,10 @@ def _image_from_rows(p, bound, rows):
         if len(witnesses) == len(OBSTRUCTION_CLASSES):
             break
     # u -> diag(u, 1/u) embeds F_p^* in SL2(F_p): the sampled ell mod p
-    # generate the units iff their images close to p - 1 elements
+    # generate the units iff their images generate a group of order p - 1
     units = {ell % p for ell, _ in rows}
-    det_full = len(closure([(u, 0, 0, pow(u, -1, p)) for u in units],
-                           p)) == p - 1
+    det_full = subgroup_order([(u, 0, 0, pow(u, -1, p)) for u in units],
+                              p) == p - 1
     detail = {"samples": len(rows), "det_coverage": det_full}
     if len(witnesses) == len(OBSTRUCTION_CLASSES) and det_full:
         return ImageCertificate(p, bound, "Surjective", witnesses, detail)
@@ -563,8 +563,9 @@ def lifting_check(p: int, generators) -> LiftingReport:
     of it.  generates_mod_p records whether the reductions already generate
     SL2(F_p); a kernel-pattern generating set (I + p*M) fails both.
 
-    Both orders come from `congruence.subgroup_order`, which finds
-    |H| = |H mod p| * p^rank in two levels without listing H.
+    Both orders come from `congruence.subgroup_order`, which finds |H| by
+    Schreier-Sims over the congruence kernels, one layer mod p and one
+    mod p^2, without listing H.
     """
     if p not in CERTIFIABLE_PRIMES:
         raise ValueError(f"p must be in {CERTIFIABLE_PRIMES}, got {p}")

@@ -1,12 +1,12 @@
 """Orbit counting on finite coset models and index reports.
 
-For a subgroup H of SL2(Z/N) given by a generating set, the number of
-H-orbits on the regular coset space equals the index [SL2(Z/N) : H]
-exactly, and the report carries the orbit-count sequence across divisor
-levels, each from `congruence.subgroup_order` of the generators mod that
-divisor.  When H is known only through a mod-p image certificate, the
-report gives the index lower bound ambient/|largest subgroup consistent
-with the evidence| and flags it as a bound, never as an exact count.
+For a subgroup H of SL2(Z/N) given by a generating set, the number of H-orbits
+on the regular coset space equals the index [SL2(Z/N) : H] exactly, and the
+report carries the orbit-count sequence across divisor levels, each from the
+congruence-kernel chain of `congruence.subgroup_order` on the generators mod
+that divisor.  When H is known only through a mod-p image certificate, the
+report gives the index lower bound ambient/|largest subgroup consistent with
+the evidence| and flags it as a bound, never as an exact count.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from heckelab.axioms import AxiomReport, check_mod1, check_mod2, check_sf, check_sp
+from heckelab.congruence import sl2_order
 from heckelab.errors import LevelTooLarge
 from heckelab.hecke import ModularPolynomial, modular_polynomial
 from heckelab.jfunction import QSeriesContext, j
@@ -119,15 +120,17 @@ def test_sp_at_sqrt_minus7():
 
 
 def test_sf_small_levels():
-    for n, size in [(1, 1), (2, 6), (5, 120), (12, 1152)]:
+    for n, size in [(1, 1), (2, 6), (5, 120), (12, 1152),
+                    (13, sl2_order(13)), (30, sl2_order(30))]:
         rep = check_sf(n)
         assert rep.verdict == "pass"
         assert rep.trials == size
+        assert rep.max_residual == 0.0 and rep.witnesses == ()
 
 
 def test_sf_level_cap():
     with pytest.raises(LevelTooLarge):
-        check_sf(13)
+        check_sf(31)
 
 
 def test_report_schema():

@@ -188,7 +188,22 @@ def test_axiom_sf(capsys):
     code, doc = run(capsys, ["axiom", "sf", "--N", "5"])
     assert code == 0
     assert doc["report"]["trials"] == 120
-    assert cli.main(["axiom", "sf", "--N", "13"]) == 2
+    for N in (13, 30):
+        code, doc = run(capsys, ["axiom", "sf", "--N", str(N)])
+        assert code == 0 and doc["report"]["verdict"] == "pass"
+        assert doc["report"]["trials"] == sl2_order(N)
+    assert cli.main(["axiom", "sf", "--N", "31"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the scan bound 30" in captured.err
+
+
+@pytest.mark.parametrize("N", ["0", "-3"])
+def test_axiom_sf_nonpositive_level_is_usage_error(N, capsys):
+    assert cli.main(["axiom", "sf", "--N", N]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_frobenius(capsys):
@@ -318,36 +333,44 @@ def test_modpoly_not_squarefree_says_so(n, capsys):
 
 
 def test_closures_never_enumerate_sl2(monkeypatch, capsys):
-    from heckelab import congruence, typecount
+    from heckelab import axioms, congruence, typecount
 
     def spy(*args, **kwargs):
         raise AssertionError("enumerate_sl2 called")
-    for module in (congruence, cli, typecount):
+    for module in (congruence, cli, typecount, axioms):
         monkeypatch.setattr(module, "enumerate_sl2", spy, raising=False)
     assert run(capsys, ["lifting", "--p", "7"])[0] == 0
     code, doc = run(capsys, ["types", "--gens",
                              "[[[1,1],[0,1]],[[1,0],[1,1]]]", "--level", "30"])
     assert code == 0
     assert doc["report"]["index"] == 1
+    code, doc = run(capsys, ["axiom", "sf", "--N", "12"])
+    assert code == 0 and doc["report"]["trials"] == 1152
 
 
 def test_types_and_lifting_never_close_at_the_full_level(monkeypatch,
                                                         capsys):
-    from heckelab import congruence
+    from heckelab import axioms, congruence
     moduli = []
     real = congruence.closure
 
     def spy(gens, N):
         moduli.append(N)
         return real(gens, N)
-    for module in (congruence, galois):
-        monkeypatch.setattr(module, "closure", spy)
+    for module in (congruence, galois, axioms):
+        monkeypatch.setattr(module, "closure", spy, raising=False)
     code, doc = run(capsys, ["types", "--gens",
                              "[[[1,1],[0,1]],[[1,0],[1,1]]]", "--level", "30"])
     assert code == 0 and doc["report"]["index"] == 1
     code, doc = run(capsys, ["lifting", "--p", "13"])
     assert code == 0 and doc["report"]["order"] == sl2_order(169)
-    assert moduli and not {30, 169} & set(moduli)
+    code, doc = run(capsys, ["axiom", "sf", "--N", "12"])
+    assert code == 0 and doc["report"]["verdict"] == "pass"
+    assert moduli == []
+    # positive control: Subgroup.generated closes through the same spy
+    fmg = congruence.enumerate_sl2(6)
+    congruence.Subgroup.generated(fmg, congruence.parent_generators(fmg))
+    assert moduli == [6]
 
 
 def test_usage_exit_from_argparse():

@@ -143,10 +143,34 @@ def test_subgroup_order_matches_closure():
             for _ in range(8)]
         for gens in sets:
             assert subgroup_order(gens, N) == len(closure(gens, N)), (N, gens)
-    for N, p in ((4, 2), (8, 2), (16, 2), (9, 3), (27, 3), (25, 5), (49, 7)):
+    for N, p in ((4, 2), (8, 2), (16, 2), (9, 3), (27, 3), (25, 5), (49, 7),
+                 (125, 5)):  # 125: the last of three layers 5 | 25 | 125
         for gens, rank in _kernel_layer_sets(N, p):
             assert len(closure(gens, N)) == p ** rank, (N, gens)
             assert subgroup_order(gens, N) == p ** rank, (N, gens)
+
+
+def test_subgroup_order_beyond_the_closure_oracle():
+    """Levels no closure reaches cheaply, against the order formulas."""
+    S, T = (0, -1, 1, 0), (1, 1, 0, 1)
+    for N in (64, 210, 625, 1001):
+        assert subgroup_order([S, T], N) == sl2_order(N), N
+    # <T, diag(u, 1/u)> is the image of Gamma0(N), of order N * phi(N),
+    # so [SL2 : Gamma0(N)] = N * prod(1 + 1/p)
+    for N, psi in ((30, 72), (64, 96), (81, 108), (121, 132), (210, 576)):
+        units = [u for u in range(1, N) if gcd(u, N) == 1]
+        phi = len(units)
+        gens = [T] + [(u, 0, 0, pow(u, -1, N)) for u in units]
+        assert subgroup_order(gens, N) == N * phi, N
+        assert sl2_order(N) // (N * phi) == psi, N
+
+
+@pytest.mark.parametrize("N", [0, -5])
+def test_orders_need_a_positive_level(N):
+    with pytest.raises(ValueError):
+        subgroup_order([(1, 1, 0, 1)], N)
+    with pytest.raises(ValueError):
+        closure([(1, 1, 0, 1)], N)
 
 
 def test_lift_round_trip():
