@@ -87,18 +87,16 @@ def check_mod1(n: int, trials: int = 20, tol: float = 1e-6, seed: int = 0,
                        tuple(bad))
 
 
-def _optimal_match(left: list, right: list) -> tuple[float, tuple]:
-    """Perfect matching minimizing the worst relative distance (brute force;
-    the multisets here have at most psi(3) = 4 entries)."""
+def _optimal_match(dist: list) -> tuple[float, tuple]:
+    """Perfect matching minimizing the worst entry of the distance table,
+    dist[i][k] between left i and right k (brute force; the multisets
+    here have at most psi(3) = 4 entries)."""
     best = None
     best_perm = None
-    idx = range(len(right))
-    for perm in permutations(idx):
+    for perm in permutations(range(len(dist))):
         worst = 0.0
-        for a, k in zip(left, perm):
-            b = right[k]
-            d = float(abs(a - b)) / (1.0 + float(abs(b)))
-            worst = max(worst, d)
+        for row, k in zip(dist, perm):
+            worst = max(worst, row[k])
         if best is None or worst < best:
             best, best_perm = worst, perm
     return best, best_perm
@@ -118,11 +116,13 @@ def check_mod2(n: int, X0, tol: float = 1e-4, seed: int | None = None,
     except (IllConditioned, NoConvergence, PrecisionExhausted) as exc:
         return AxiomReport(f"MOD2({n})", params, seed, 0, None,
                            "inconclusive", ({"error": str(exc)},))
-    worst, perm = _optimal_match(roots, images)
+    # relative distances, root i to image k, each computed once
+    dist = [[float(abs(r - b)) / (1.0 + float(abs(b))) for b in images]
+            for r in roots]
+    worst, perm = _optimal_match(dist)
     pairs = tuple(
-        {"root": _cplx(r), "image": _cplx(images[k]),
-         "distance": float(abs(r - images[k])) / (1.0 + float(abs(images[k])))}
-        for r, k in zip(roots, perm)
+        {"root": _cplx(r), "image": _cplx(images[k]), "distance": row[k]}
+        for r, row, k in zip(roots, dist, perm)
     )
     verdict = "pass" if worst < tol else "fail"
     return AxiomReport(f"MOD2({n})", params, seed, len(roots), worst, verdict,

@@ -7,13 +7,15 @@ off the integer powers of the j-series, Newton's identities turn them into
 the elementary symmetric functions (the Y-coefficients of Phi_n), and each
 of those is peeled against powers of j into an integer polynomial in X.
 Every division must be exact and every peeled remainder exactly zero.
+The residual of Phi_n at a numeric point is exact as well: the point is
+read as dyadic Gaussian integers, and only the final quotient is rounded.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, isqrt
 
 import mpmath
 
@@ -127,18 +129,34 @@ class ModularPolynomial:
             total += c * xs[i] * ys[j]
         return total
 
-    def max_monomial(self, x, y) -> float:
-        # ax ** i rounds once where a running product would round i times,
-        # which would move the last digit of the reported residual
-        ax, ay = abs(x), abs(y)
-        xs = [ax ** i for i in range(self.degX + 1)]
-        ys = [ay ** j for j in range(self.degY + 1)]
-        return max((float(abs(c) * xs[i] * ys[j])
-                    for (i, j), c in self.coeffs.items()), default=0.0)
-
     def residual(self, x, y) -> float:
-        """|Phi(x,y)| relative to the largest monomial at the point."""
-        return float(abs(self.evaluate(x, y))) / (1.0 + self.max_monomial(x, y))
+        """|Phi(x,y)| / (1 + the largest |c_ij x^i y^j|), exact until one
+        final rounding.
+
+        x and y are read exactly as X/W and Y/W, with X, Y Gaussian
+        integers and W = 2^B, so V = W^(dx+dy) Phi(x,y) is a Gaussian
+        integer: Horner over Y of the integer X-polynomials
+        sum_i c_ij X^i W^(dx-i).  The largest monomial, scaled the same
+        way, is picked by its exact square.
+        """
+        (xr, xi, ex), (yr, yi, ey) = _dyadic(x), _dyadic(y)
+        B = max(0, -min(ex, ey))
+        xr, xi = xr << (ex + B), xi << (ex + B)
+        yr, yi = yr << (ey + B), yi << (ey + B)
+        dx, dy = self.degX, self.degY
+        vr = vi = 0
+        for j in range(dy, -1, -1):
+            pr = pi = 0
+            for i in range(dx, -1, -1):
+                pr, pi = (pr * xr - pi * xi + (self.coefficient(i, j) << B * (dx - i)),
+                          pr * xi + pi * xr)
+            w = B * (dy - j)
+            vr, vi = vr * yr - vi * yi + (pr << w), vr * yi + vi * yr + (pi << w)
+        nx = [(xr * xr + xi * xi) ** i for i in range(dx + 1)]
+        ny = [(yr * yr + yi * yi) ** j for j in range(dy + 1)]
+        top = max((c * c * nx[i] * ny[j] << 2 * B * (dx + dy - i - j)
+                   for (i, j), c in self.coeffs.items()), default=0)
+        return isqrt(vr * vr + vi * vi) / ((1 << B * (dx + dy)) + isqrt(top))
 
     def y_coefficients_at(self, x) -> list:
         """Coefficients of Phi(x, Y) by descending Y-power."""
@@ -173,6 +191,21 @@ class ModularPolynomial:
         if phi.degX != degX or phi.degY != degY:
             raise ValueError("degree header disagrees with coefficient lines")
         return phi
+
+
+def _dyadic(z) -> tuple:
+    """(a, b, e) with z = (a + b*i) 2^e exactly, for a finite int, float,
+    complex or mpmath number."""
+    if isinstance(z, int):
+        return z, 0, 0
+    z = mpmath.mpmathify(z)
+    parts = z._mpc_ if hasattr(z, "_mpc_") else (z._mpf_, mpmath.libmp.fzero)
+    if any(not man and exp for _, man, exp, _ in parts):
+        raise ValueError(f"{z} is not finite")
+    e = min((exp for _, man, exp, _ in parts if man), default=0)
+    a, b = ((-man if sign else man) << (exp - e) if man else 0
+            for sign, man, exp, _ in parts)
+    return a, b, e
 
 
 def _laurent_mul(f, g):

@@ -1,7 +1,8 @@
 """Numeric j-function on the upper half-plane.
 
 Evaluation reduces the argument to the standard fundamental domain
-(|Re| <= 1/2, |tau| >= 1) and sums the integer q-expansion there, where
+(|Re| <= 1/2, |tau| >= 1) by one loop, which moves the point in mpmath and
+keeps gamma as four ints, and sums the integer q-expansion there, where
 |q| <= e^{-pi*sqrt(3)} makes the tail geometric.  The reported error bound
 uses |c_m| <= e^{4*pi*sqrt(m)}, which dominates the true coefficients.
 The head of the series is summed by one Horner kernel in Gaussian fixed
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import floor
 
 import mpmath
@@ -58,26 +60,37 @@ class JResult:
         }
 
 
-def reduce_fundamental(tau: NumericPoint):
-    """(gamma, tau') with tau' = gamma.tau in the standard domain."""
-    prec = tau.prec_bits
+def _reduce(re, im, prec: int):
+    """((a, b, c, d), re', im') with re' + i*im' = gamma.(re + i*im) in the
+    standard domain for gamma = (a, b; c, d) in SL2(Z).
+
+    z moves at prec + 20 bits and the result is rounded to prec bits; gamma
+    is four ints, updated in place of a matrix product at every step.
+    """
     with mpmath.workprec(prec + 20):
-        z = tau.value()
-        gamma = RatMatrix.identity()
-        slack = mpmath.mpf(2) ** (-(prec - 10))
+        z = mpmath.mpc(re, im)
+        a, b, c, d = 1, 0, 0, 1
+        bound = 1 - mpmath.mpf(2) ** (-(prec - 10))
         for _ in range(10000):
             k = int(mpmath.nint(z.real))
             if k:
                 z -= k
-                gamma = RatMatrix(1, -k, 0, 1) * gamma
-            if abs(z) ** 2 < 1 - slack:
+                a, b = a - k * c, b - k * d
+            if abs(z) ** 2 < bound:
                 z = -1 / z
-                gamma = S * gamma
+                a, b, c, d = -c, -d, a, b
             else:
                 break
         else:
             raise NoConvergence("fundamental-domain reduction did not settle")
-    return gamma, NumericPoint(z.real, z.imag, prec)
+    with mpmath.workprec(prec):
+        return (a, b, c, d), +z.real, +z.imag
+
+
+def reduce_fundamental(tau: NumericPoint):
+    """(gamma, tau') with tau' = gamma.tau in the standard domain."""
+    gamma, re, im = _reduce(tau.re, tau.im, tau.prec_bits)
+    return RatMatrix(*gamma), NumericPoint(re, im, tau.prec_bits)
 
 
 def reduce_fundamental_exact(tau: CMPoint):
@@ -121,17 +134,26 @@ def _horner(coeffs, q: mpmath.mpc, bits: int) -> mpmath.mpc:
     return mpmath.mpc(mpmath.ldexp(vr, -bits), mpmath.ldexp(vi, -bits))
 
 
+@lru_cache(maxsize=None)
+def _tail_constants(K: int, prec: int) -> tuple:
+    """(e^{2 pi / sqrt(K)}, e^{4 pi sqrt(K)}) at prec bits."""
+    with mpmath.workprec(prec):
+        return (mpmath.exp(2 * mpmath.pi / mpmath.sqrt(K)),
+                mpmath.exp(4 * mpmath.pi * mpmath.sqrt(K)))
+
+
 def _series_eval(z: mpmath.mpc, ctx: QSeriesContext):
     """(value, tail bound) of the q-expansion at a reduced point."""
     K = ctx.terms
     q = mpmath.exp(2j * mpmath.pi * z)
     absq = abs(q)
+    ratio, growth = _tail_constants(K, mpmath.mp.prec)
     # geometric tail: |c_m| <= e^{4 pi sqrt(m)} and the term ratio beyond K
     # is at most rho = e^{2 pi / sqrt(K)} * |q|
-    rho = mpmath.exp(2 * mpmath.pi / mpmath.sqrt(K)) * absq
+    rho = ratio * absq
     if rho >= 1:
         raise PrecisionExhausted(f"tail ratio {float(rho):.3f} >= 1 at {K} terms")
-    head = mpmath.exp(4 * mpmath.pi * mpmath.sqrt(K)) * absq ** K
+    head = growth * absq ** K
     tail = head / (1 - rho)
     value = _horner(j_coefficients(K)[1:], q, ctx.prec_bits + 60) + 1 / q
     # the kernel's 2^(-prec-40) and the rounding at prec+40 bits sit well
@@ -146,9 +168,8 @@ def j(tau, ctx: QSeriesContext = DEFAULT_CTX) -> JResult:
             _, red = reduce_fundamental_exact(tau)
             z = red.to_mpc(ctx.prec_bits + 40)
         elif isinstance(tau, NumericPoint):
-            lifted = NumericPoint(tau.re, tau.im, max(tau.prec_bits, ctx.prec_bits + 40))
-            _, red = reduce_fundamental(lifted)
-            z = red.value()
+            _, re, im = _reduce(tau.re, tau.im, max(tau.prec_bits, ctx.prec_bits + 40))
+            z = mpmath.mpc(re, im)
         else:
             raise TypeError(f"cannot evaluate j on {type(tau).__name__}")
         value, err = _series_eval(z, ctx)

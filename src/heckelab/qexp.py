@@ -1,8 +1,10 @@
 """Exact integer q-expansions at the cusp.
 
 Truncated power series are plain lists of Python ints, entry t holding the
-coefficient of q^t.  The j-series is produced as E4^3 / Delta with the
-leading 1/q split off, so every coefficient is an exact integer; the
+coefficient of q^t.  Delta/q comes from the sigma_1 recurrence of its
+logarithmic derivative, and the j-series is E4^3 divided by Delta/q (the
+leading 1/q split off) in one series-division pass; Delta/q has constant
+term 1, so every coefficient is an exact integer.  The
 E4^3 - E6^2 = 1728*Delta identity gives an independent consistency check.
 Every length of the j-series is read as a prefix of one table, which is
 rebuilt only when a longer one is asked for.
@@ -11,6 +13,7 @@ rebuilt only when a longer one is asked for.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 
 
 def series_mul(f: list, g: list, K: int) -> list:
@@ -40,21 +43,6 @@ def series_pow(f: list, e: int, K: int) -> list:
     return [1] + [0] * (K - 1) if result is None else result
 
 
-def series_inv(f: list, K: int) -> list:
-    """Multiplicative inverse of a unit series (f[0] = +-1), exact."""
-    if f[0] not in (1, -1):
-        raise ValueError("series inverse needs unit constant term")
-    u = f[0]
-    out = [u] + [0] * (K - 1)
-    for t in range(1, K):
-        acc = 0
-        for s in range(1, t + 1):
-            if s < len(f) and f[s]:
-                acc += f[s] * out[t - s]
-        out[t] = -u * acc
-    return out
-
-
 def sigma(n: int, k: int) -> int:
     """Sum of k-th powers of divisors."""
     total = 0
@@ -78,20 +66,18 @@ def eisenstein6(K: int) -> list:
 
 
 def delta_over_q(K: int) -> list:
-    """Delta/q = prod (1-q^n)^24, via the pentagonal-number expansion."""
-    euler = [0] * K
-    k = 0
-    while True:
-        placed = False
-        for kk in (k, -k) if k else (0,):
-            e = kk * (3 * kk - 1) // 2
-            if e < K:
-                euler[e] += -1 if kk % 2 else 1
-                placed = True
-        if not placed:
-            break
-        k += 1
-    return series_pow(euler, 24, K)
+    """Delta/q = prod (1-q^n)^24 = sum g_m q^m, from its logarithmic
+    derivative: q d/dq log prod (1-q^n)^24 = -24 sum sigma_1(k) q^k, so
+    m g_m = -24 sum_{k=1..m} sigma_1(k) g_(m-k).  Every division must be
+    exact; one that is not raises ArithmeticError."""
+    s1 = [sigma(k, 1) for k in range(K)]
+    g = [1] + [0] * (K - 1)
+    for m in range(1, K):
+        total = -24 * sum(map(mul, s1[1:m + 1], g[m - 1::-1]))
+        if total % m:
+            raise ArithmeticError(f"Delta/q: {total}/{m} at q^{m} is not an integer")
+        g[m] = total // m
+    return g
 
 
 # j is summed to DEFAULT_TERMS terms unless a context asks for more, and the
@@ -102,9 +88,13 @@ _qj_table: list = []
 
 
 def _qj_series(n: int) -> list:
-    """q*j = E4^3 * (Delta/q)^{-1} to n terms."""
-    e4cubed = series_pow(eisenstein4(n), 3, n)
-    return series_mul(e4cubed, series_inv(delta_over_q(n), n), n)
+    """q*j = E4^3 / (Delta/q) to n terms, by one series division: Delta/q
+    has constant term 1, so each coefficient is exact."""
+    out = series_pow(eisenstein4(n), 3, n)
+    g = delta_over_q(n)
+    for t in range(1, n):
+        out[t] -= sum(map(mul, g[1:t + 1], out[t - 1::-1]))
+    return out
 
 
 @lru_cache(maxsize=None)

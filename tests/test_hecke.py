@@ -118,6 +118,57 @@ def test_phi_vanishing_on_correspondence():
             assert phi.residual(x, y) < 1e-6
 
 
+def _mpmath_residual(phi, x, y, bits):
+    # the same quotient, summed monomial by monomial in mpmath
+    with mpmath.workprec(bits):
+        x, y = mpmath.mpmathify(x), mpmath.mpmathify(y)
+        terms = [c * x ** i * y ** j for (i, j), c in phi.coeffs.items()]
+        top = max(abs(t) for t in terms)
+        return abs(mpmath.fsum(terms)) / (1 + top)
+
+
+def _residual_points(n, rng):
+    # (j(tau), j(n tau)) at 128 bits, whose values carry 168, and the fiber
+    # of Phi_n over X0 = 1e30
+    ctx = QSeriesContext(prec_bits=128)
+    pts = []
+    for _ in range(10):
+        tau = NumericPoint(rng.uniform(-0.5, 0.5), rng.uniform(0.9, 2.0), 128)
+        with mpmath.workprec(128):  # n*tau exact, as in check_mod1
+            ntau = NumericPoint(tau.re * n, tau.im * n, 128)
+        pts.append((j(tau, ctx).value, j(ntau, ctx).value))
+    x0 = mpmath.mpf(1e30)
+    pts += [(x0, r) for r in correspondence_fiber(modular_polynomial(n), x0)]
+    return pts
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_residual_is_exact(n):
+    # against mpmath at 4x the 168 bits of the inputs; the exact quotient
+    # is only rounded once, so the two agree to a few ulps
+    phi = modular_polynomial(n)
+    pts = _residual_points(n, random.Random(60 + n))
+    pts.append((1728, j(CMPoint(-1, 0, n), CTX).value))
+    for x, y in pts:
+        got = phi.residual(x, y)
+        want = _mpmath_residual(phi, x, y, 4 * 168)
+        assert abs(got - want) <= 2.0 ** -50 * want, (x, y)
+        assert got < 1e-37
+    with pytest.raises(ValueError):
+        phi.residual(mpmath.inf, 1)
+
+
+def test_residual_sees_one_wrong_coefficient():
+    # X^3 Y^3 is the largest monomial of Phi_3 wherever |y| >> |x|; with
+    # its coefficient moved from -1 to 0 no point comes near zero
+    phi = modular_polynomial(3)
+    bad = dict(phi.coeffs)
+    bad[(3, 3)] += 1
+    bad_phi = ModularPolynomial.from_map(3, bad)
+    for x, y in _residual_points(3, random.Random(63)):
+        assert bad_phi.residual(x, y) > 1e-6
+
+
 def test_phi2_at_1728_and_j2i():
     phi = modular_polynomial(2)
     y = j(CMPoint(-1, 0, 2), CTX).value  # 287496 exactly, numerically

@@ -89,6 +89,43 @@ def test_reduce_fundamental_examples():
     assert abs(red.value() - (0.2 + 1.4j)) < 1e-12
 
 
+def _reduce_by_fraction_products(tau):
+    # reference: the same steps on z, with gamma kept as a RatMatrix and
+    # multiplied out at every step
+    prec = tau.prec_bits
+    with mpmath.workprec(prec + 20):
+        z = tau.value()
+        gamma = RatMatrix.identity()
+        slack = mpmath.mpf(2) ** (-(prec - 10))
+        while True:
+            k = int(mpmath.nint(z.real))
+            if k:
+                z -= k
+                gamma = RatMatrix(1, -k, 0, 1) * gamma
+            if abs(z) ** 2 < 1 - slack:
+                z = -1 / z
+                gamma = S * gamma
+            else:
+                return gamma, NumericPoint(z.real, z.imag, prec)
+
+
+def test_reduce_fundamental_matches_fraction_products():
+    # 200 seeded points, every fourth one with Im in [0.01, 0.06), where the
+    # loop takes many steps
+    rng = random.Random(89)
+    for k in range(200):
+        im = rng.uniform(0.01, 0.06) if k % 4 == 0 else rng.uniform(0.06, 3.0)
+        tau = NumericPoint(rng.uniform(-3, 3), im, rng.choice([64, 128, 256]))
+        g, red = reduce_fundamental(tau)
+        want_g, want = _reduce_by_fraction_products(tau)
+        assert g.in_sl2z()
+        assert g == want_g
+        assert (red.re, red.im, red.prec_bits) == (want.re, want.im, want.prec_bits)
+        with mpmath.workprec(tau.prec_bits + 20):
+            moved = act(g, tau).value()
+            assert abs(moved - red.value()) <= mpmath.ldexp(1, 30 - tau.prec_bits)
+
+
 def test_reduce_fundamental_exact_random():
     rng = random.Random(37)
     sf = [-1, -2, -3, -5, -6, -7, -10, -11]

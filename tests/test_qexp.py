@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from heckelab import qexp
 from heckelab.qexp import (
     delta_over_q,
@@ -40,3 +42,43 @@ def test_j_coefficients_are_prefixes_of_one_table(monkeypatch):
     # the same numbers as E4^3/Delta built at exactly that length
     assert tuple(qexp._qj_series(33)) == short
     assert tuple(qexp._qj_series(129)) == long
+
+
+def _pentagonal_delta_over_q(K):
+    # reference: Euler's pentagonal-number series prod (1 - q^n), then
+    # its 24th power
+    euler = [0] * K
+    k = 0
+    while k * (3 * k - 1) // 2 < K:
+        for kk in {k, -k}:
+            e = kk * (3 * kk - 1) // 2
+            if e < K:
+                euler[e] += -1 if kk % 2 else 1
+        k += 1
+    return series_pow(euler, 24, K)
+
+
+def _series_inv(f, K):
+    # reference: inverse of a series with constant term 1, term by term
+    out = [1] + [0] * (K - 1)
+    for t in range(1, K):
+        out[t] = -sum(f[s] * out[t - s] for s in range(1, t + 1))
+    return out
+
+
+def test_recurrence_matches_pentagonal_route():
+    K = 200
+    ref = _pentagonal_delta_over_q(K)
+    assert ref[:4] == [1, -24, 252, -1472]
+    assert delta_over_q(K) == ref
+    e4cubed = series_pow(eisenstein4(K), 3, K)
+    assert qexp._qj_series(K) == series_mul(e4cubed, _series_inv(ref, K), K)
+
+
+def test_corrupted_sigma_trips_the_exact_division(monkeypatch):
+    # sigma_1(5) = 6 read as 7 moves 5 * g_5 by -24, which 5 does not divide
+    real = qexp.sigma
+    monkeypatch.setattr(qexp, "sigma", lambda n, k: real(n, k) + ((n, k) == (5, 1)))
+    with pytest.raises(ArithmeticError, match="q\\^5"):
+        delta_over_q(10)
+    assert delta_over_q(5) == _pentagonal_delta_over_q(5)
