@@ -23,12 +23,13 @@ from .errors import BadDeterminant, BadReduction, NotSubdirect, OrderAmbiguous
 
 EXHAUSTIVE_LIMIT = 10 ** 5
 BSGS_LIMIT = 10 ** 7
-# "auto" counts exhaustively below this prime and by BSGS from it on: the
-# per-prime costs of the two cross between 250 and 350, at about 0.09 ms
-# (CPython 3.11, 2-core x86-64 VM).  Above 229 the curve or its twist
-# always has points that pin the group order (Mestre), so "auto" reaches
-# the exhaustive fallback only if 40 random points all miss them.
-BSGS_CUTOFF = 300
+# "auto" counts exhaustively below this prime and by BSGS from it on: per
+# prime (tools/bench_count.py; CPython 3.11, 2-core x86-64 VM) bsgs costs
+# 1.1-1.2 times the exhaustive sum in [110, 150), the same (31 us) in
+# [150, 190) and 0.73 of it in [190, 210); counts are exact either way.
+# Above 229, E or its twist has points that pin a_ell (Mestre); on 80
+# seeded curves bsgs fell back to the exhaustive sum only at ell <= 23.
+BSGS_CUTOFF = 150
 CERTIFIABLE_PRIMES = (5, 7, 11, 13)
 
 
@@ -173,51 +174,38 @@ def _count_exhaustive(curve, ell):
                  for x in range(ell)])
 
 
-class _ShortCurve:
-    """Affine group law on y^2 = x^3 + Ax + B over F_ell, ell >= 5."""
-
-    def __init__(self, A, B, ell):
-        self.A = A % ell
-        self.B = B % ell
-        self.ell = ell
-
-    def add(self, P, Q):
-        ell = self.ell
-        if P is None:
-            return Q
-        if Q is None:
-            return P
-        x1, y1 = P
-        x2, y2 = Q
-        if x1 == x2 and (y1 + y2) % ell == 0:
+def _add(P, Q, A, ell):
+    """P + Q on y^2 = x^3 + Ax + B over F_ell, ell >= 5; None is O."""
+    if P is None or Q is None:
+        return P or Q
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % ell == 0:
             return None
-        if P == Q:
-            num = (3 * x1 * x1 + self.A) % ell
-            den = (2 * y1) % ell
-        else:
-            num = (y2 - y1) % ell
-            den = (x2 - x1) % ell
-        lam = num * pow(den, -1, ell) % ell
-        x3 = (lam * lam - x1 - x2) % ell
-        return x3, (lam * (x1 - x3) - y1) % ell
+        lam = (3 * x1 * x1 + A) * pow(2 * y1, -1, ell) % ell
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, ell) % ell
+    x3 = (lam * lam - x1 - x2) % ell
+    return x3, (lam * (x1 - x3) - y1) % ell
 
-    def mul(self, k, P):
-        R = None
-        while k:
-            if k & 1:
-                R = self.add(R, P)
-            P = self.add(P, P)
-            k >>= 1
-        return R
 
-    def random_point(self, rng):
-        while True:
-            x = rng.randrange(self.ell)
-            v = (x * x * x + self.A * x + self.B) % self.ell
-            if _chi(v, self.ell) == -1:
-                continue
-            y = _sqrt_mod(v, self.ell)
-            return (x, y)
+def _mul(k, P, A, ell):
+    """kP for k >= 0, left to right over the bits of k."""
+    R = None
+    for bit in bin(k)[2:]:
+        R = _add(R, R, A, ell)
+        if bit == "1":
+            R = _add(R, P, A, ell)
+    return R
+
+
+def _points(A, B, ell):
+    """The affine points of y^2 = x^3 + Ax + B over F_ell, x ascending."""
+    for x in range(ell):
+        v = ((x * x + A) * x + B) % ell
+        if _chi(v, ell) != -1:
+            yield x, _sqrt_mod(v, ell)
 
 
 def _sqrt_mod(v, ell):
@@ -248,36 +236,50 @@ def _sqrt_mod(v, ell):
     return r
 
 
-def _annihilators(curve_ops, P, lo, hi):
-    """Every m in [lo, hi] with m*P = O, by baby steps jP (0 <= j < mb)
-    and giant steps (lo + k*mb)P; the group order is among them."""
-    mb = isqrt(hi - lo + 1) + 1
+def _annihilators(P, A, ell, c, s):
+    """Every a in [-s, s] with (c - a)P = O.
+
+    Baby steps jP, 0 < j <= m, are keyed by x, so one entry serves +-jP;
+    giant points (c - t)P, t = -Kw, ..., Kw in steps of w = 2m + 1, meet
+    each a = t + e, |e| <= m, in one lookup for eP.  If P has order below
+    2m, a baby step is O or repeats an x, and the order gives the answer;
+    at order 2m, mP has y = 0 and matches both signs."""
+    m = isqrt(s) + 1
     baby = {}
-    Q = None
-    for j in range(mb):
-        if Q is None and j:
-            # P has order j < mb: its multiples are all the annihilators
-            return range(lo + (-lo) % j, hi + 1, j)
-        baby[Q] = j
-        Q = curve_ops.add(Q, P)
+    Q = P
+    for j in range(1, m + 1):
+        if Q is None or Q[0] in baby:
+            # jP = O, or jP = -iP with i < j: P has order j, or i + j
+            order = j if Q is None else baby[Q[0]][0] + j
+            return range(-s + (c + s) % order, s + 1, order)
+        baby[Q[0]] = j, Q[1]
+        last, Q = Q, _add(Q, P, A, ell)
+    w = 2 * m + 1
+    W = _add(Q, last, A, ell)  # (m + 1)P + mP
+    back = None if W is None else (W[0], -W[1] % ell)
+    K = (s + m) // w
+    G = _mul(c + K * w, P, A, ell)
     found = []
-    R = curve_ops.mul(lo, P)
-    for k in range(mb + 1):
-        # (lo + k*mb + j) P = O  iff  R = -jP; baby points are distinct
-        target = None if R is None else (R[0], -R[1] % curve_ops.ell)
-        j = baby.get(target)
-        if j is not None and lo + k * mb + j <= hi:
-            found.append(lo + k * mb + j)
-        R = curve_ops.add(R, Q)
-    return found
+    for t in range(-K * w, K * w + 1, w):
+        if G is None:
+            found.append(t)
+        elif G[0] in baby:
+            j, y = baby[G[0]]
+            if y == G[1]:
+                found.append(t + j)
+            if y == -G[1] % ell:
+                found.append(t - j)
+        G = _add(G, back, A, ell)
+    return [a for a in found if -s <= a <= s]
 
 
 def _count_bsgs(curve, ell):
-    """Group order via Mestre's method: N = #E is annihilated by every
-    point of the curve, and 2ell+2-N by every point of a quadratic twist,
-    so intersecting the annihilators of random points in the Hasse
-    interval pins N.  Falls back to the exhaustive count if tiny-group
-    ambiguity survives (only possible for small ell)."""
+    """Trace a_ell by the Shanks-Mestre method (Cohen, GTM 138, 7.4).
+
+    Every point P of E has (ell + 1 - a)P = O and every point of a
+    quadratic twist (ell + 1 + a)P = O.  Points of the two, in turn and by
+    ascending x, narrow the a in the Hasse interval down to a_ell.  Falls
+    back to the exhaustive count if ambiguity survives 40 points."""
     if ell < 5:
         return _count_exhaustive(curve, ell)
     _reduce_coeffs(curve, ell)
@@ -285,24 +287,22 @@ def _count_bsgs(curve, ell):
     d = 2
     while _chi(d, ell) != -1:
         d += 1
-    E = _ShortCurve(A, B, ell)
-    Etw = _ShortCurve(A * d * d, B * d ** 3, ell)
-    s = isqrt(4 * ell)
-    lo, hi = ell + 1 - s, ell + 1 + s
-    rng = random.Random(ell * 1000003 + A * 31 + B)
-    cands = set(range(lo, hi + 1))
+    At = A * d * d % ell
+    walks = ((_points(A, B, ell), A, 1),
+             (_points(At, B * d ** 3 % ell, ell), At, -1))
+    c, s = ell + 1, isqrt(4 * ell)
+    cands = None
     for attempt in range(40):
-        if attempt % 2 == 0:
-            cands.intersection_update(
-                _annihilators(E, E.random_point(rng), lo, hi))
-        else:
-            cands.intersection_update(
-                2 * ell + 2 - m
-                for m in _annihilators(Etw, Etw.random_point(rng), lo, hi))
+        points, coef, sign = walks[attempt % 2]
+        P = next(points, None)
+        if P is None:
+            break
+        hits = {sign * a for a in _annihilators(P, coef, ell, c, s)}
+        cands = hits if cands is None else cands & hits
         if len(cands) == 1:
-            return ell + 1 - cands.pop()
+            return cands.pop()
         if not cands:
-            raise AssertionError(f"no group order left at {ell}")
+            raise AssertionError(f"no trace left at {ell}")
     if ell <= EXHAUSTIVE_LIMIT:
         return _count_exhaustive(curve, ell)
     raise OrderAmbiguous(f"order ambiguity persisted at {ell}")
@@ -312,11 +312,11 @@ def count_points(curve: EllipticCurve, ell: int, method: str = "auto") -> int:
     """Trace of Frobenius a_ell = ell + 1 - #E(F_ell).
 
     method "exhaustive" sums the quadratic character over the x-line
-    (ell <= 1e5); "bsgs" uses baby-step giant-step order finding
-    (ell <= 1e7) and falls back to the exhaustive sum when the group order
-    stays ambiguous; "auto" is exhaustive below BSGS_CUTOFF and bsgs from
-    it on.  The two methods share no counting code, so each is the
-    other's check.
+    (ell <= 1e5); "bsgs" finds a_ell by baby-step giant-step on points of
+    E and of its quadratic twist, taken in order of x (ell <= 1e7), and
+    falls back to the exhaustive sum when the group order stays ambiguous;
+    "auto" is exhaustive below BSGS_CUTOFF and bsgs from it on.  The two
+    methods share no counting code, so each is the other's check.
     """
     if ell < 2:
         raise ValueError(f"ell must be a prime, got {ell}")

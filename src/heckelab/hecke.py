@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd, isqrt
+from types import MappingProxyType
 
 import mpmath
 
@@ -100,16 +102,18 @@ def verify_disjoint(reps) -> bool:
 @dataclass(frozen=True)
 class ModularPolynomial:
     n: int
-    coeffs: dict = field(compare=False)
+    coeffs: MappingProxyType = field(compare=False)
     degX: int = 0
     degY: int = 0
 
     @classmethod
     def from_map(cls, n: int, coeffs: dict) -> "ModularPolynomial":
+        """The nonzero coefficients, read-only: `modular_polynomial`
+        hands one shared object to every caller."""
         coeffs = {k: v for k, v in coeffs.items() if v}
         degX = max((i for i, _ in coeffs), default=0)
         degY = max((j for _, j in coeffs), default=0)
-        return cls(n, coeffs, degX, degY)
+        return cls(n, MappingProxyType(coeffs), degX, degY)
 
     def coefficient(self, i: int, j: int) -> int:
         return self.coeffs.get((i, j), 0)
@@ -241,8 +245,10 @@ def _power_sums(n: int, deg: int, top: int, K: int) -> list:
     return sums
 
 
+@lru_cache(maxsize=None)
 def modular_polynomial(n: int) -> ModularPolynomial:
-    """Phi_n with exact integer coefficients; n in {1,2,3} computed directly.
+    """Phi_n with exact integer coefficients; n in {1,2,3} computed directly,
+    once per process.
 
     Phi_n(j, Y) = prod over reps (Y - j(rep tau)) = sum_k (-1)^k e_k Y^(deg-k).
     e_k has a pole of order at most n*k and is an integer polynomial in j.

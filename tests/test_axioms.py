@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from heckelab import hecke
 from heckelab.axioms import AxiomReport, check_mod1, check_mod2, check_sf, check_sp
 from heckelab.congruence import sl2_order
 from heckelab.errors import LevelTooLarge
@@ -32,6 +33,21 @@ def test_mod1_n3_passes():
     rep = check_mod1(3, trials=8, seed=1, ctx=CTX)
     assert rep.verdict == "pass"
     assert rep.max_residual < 1e-6
+
+
+def test_warm_mod1_builds_phi_once(monkeypatch):
+    builds = []
+    real = hecke._power_sums
+
+    def spy(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hecke, "_power_sums", spy)
+    modular_polynomial.cache_clear()
+    for seed in range(20):
+        assert check_mod1(3, trials=1, seed=seed, ctx=CTX).verdict == "pass"
+    assert len(builds) == 1
 
 
 def test_mod1_corrupted_phi_fails_with_witness():

@@ -1,6 +1,6 @@
 import itertools
 import random
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -126,8 +126,9 @@ def test_auto_matches_exhaustive_across_cutoff(monkeypatch):
                 continue
             assert count_points(curve, ell) == truth[curve, ell]
     assert any(ell >= BSGS_CUTOFF for _, ell in truth)
-    # at a few ell below the cutoff bsgs cannot pin the group order; its
-    # fallback is the only call it makes to the exhaustive sum for ell >= 5
+    # at a few small ell bsgs cannot pin the group order; its fallback is
+    # the only call it makes to the exhaustive sum for ell >= 5, and it
+    # never happens from the cutoff on
     fallbacks = []
 
     def spy(curve, ell):
@@ -136,15 +137,90 @@ def test_auto_matches_exhaustive_across_cutoff(monkeypatch):
 
     monkeypatch.setattr(galois, "_count_exhaustive", spy)
     for (curve, ell), a in truth.items():
-        if 5 <= ell < BSGS_CUTOFF:
+        if ell >= 5:
             assert count_points(curve, ell, "bsgs") == a
-    assert fallbacks
+    assert fallbacks and max(fallbacks) < BSGS_CUTOFF
+
+
+def _seeded_curves(n, seed):
+    rng = random.Random(seed)
+    curves = []
+    while len(curves) < n:
+        try:
+            curves.append(EllipticCurve(*(rng.randrange(-30, 31)
+                                          for _ in range(5))))
+        except ValueError:
+            continue
+    return curves
+
+
+def _short_models(curves, bound):
+    """(A, ell) and the affine points of the short model mod each good ell,
+    5 <= ell < bound, x ascending."""
+    for curve in curves:
+        for ell in primes_upto(bound - 1)[2:]:
+            try:
+                count_points(curve, ell, "exhaustive")
+            except BadReduction:
+                continue
+            A, B = (v.numerator * pow(v.denominator, -1, ell) % ell
+                    for v in curve.short_model())
+            yield A, ell, galois._points(A, B, ell)
+
+
+def test_mul_matches_repeated_add():
+    for A, ell, points in itertools.islice(
+            _short_models(_seeded_curves(3, 41), 200), 0, None, 7):
+        P = next(points)
+        kP = None
+        for k in range(60):
+            assert galois._mul(k, P, A, ell) == kP
+            kP = galois._add(kP, P, A, ell)
+
+
+def test_annihilators_match_order_scan():
+    # each point's order n by walking its multiples; then (c - a)Q = O
+    # iff n' | c - a for Q = kP of order n' = n / gcd(n, k).  The
+    # multiples taken give orders below 2m (read from the baby steps) and
+    # exactly 2m, where mQ has y = 0 and a giant point matches it with
+    # both signs: e = +-m, i.e. a = +-m mod 2m + 1.
+    paths = {"baby": 0, "two-torsion": 0, "giant": 0}
+    for A, ell, points in _short_models(_seeded_curves(6, 43), 400):
+        c, s = ell + 1, isqrt(4 * ell)
+        m = isqrt(s) + 1
+        for P in itertools.islice(points, 3):
+            multiples = [P]
+            while multiples[-1] is not None:
+                multiples.append(galois._add(multiples[-1], P, A, ell))
+            n = len(multiples)
+            for k in {1} | {n // d for d in (2 * m, 2, 3, m) if n % d == 0}:
+                order = n // gcd(n, k)
+                want = [a for a in range(-s, s + 1) if (c - a) % order == 0]
+                got = galois._annihilators(multiples[k - 1], A, ell, c, s)
+                assert sorted(got) == want, (A, ell, P, k)
+                if order < 2 * m:
+                    paths["baby"] += 1
+                elif order > 2 * m:
+                    paths["giant"] += 1
+                elif any((a + m) % (2 * m + 1) in (0, 2 * m) for a in want):
+                    paths["two-torsion"] += 1
+    assert min(paths.values()) > 0, paths
+
+
+def test_bsgs_matches_exhaustive_at_every_ell():
+    for curve in _seeded_curves(8, 47):
+        for ell in primes_upto(1200)[2:]:
+            try:
+                a = count_points(curve, ell, "exhaustive")
+            except BadReduction:
+                continue
+            assert count_points(curve, ell, "bsgs") == a, (curve, ell)
 
 
 def test_bsgs_ambiguity_above_exhaustive_limit(monkeypatch):
     # with every point annihilated by everything, no order is ever pinned
     monkeypatch.setattr(galois, "_annihilators",
-                        lambda ops, P, lo, hi: range(lo, hi + 1))
+                        lambda P, A, ell, c, s: range(-s, s + 1))
     ell = primes_upto(EXHAUSTIVE_LIMIT + 100)[-1]
     assert ell > EXHAUSTIVE_LIMIT
     with pytest.raises(OrderAmbiguous, match="ambiguity"):

@@ -188,8 +188,17 @@ def test_corrupted_series_fails_exact_check(monkeypatch):
         return tuple(coeffs)
 
     monkeypatch.setattr(hecke, "j_power_coefficients", corrupted)
+    modular_polynomial.cache_clear()  # build Phi_2 again, from the bad series
     with pytest.raises(PrecisionExhausted):
         modular_polynomial(2)
+
+
+def test_shared_phi_is_read_only():
+    phi = modular_polynomial(2)
+    assert modular_polynomial(2) is phi
+    with pytest.raises(TypeError):
+        phi.coeffs[(2, 2)] += 1
+    assert phi.coeffs == PHI2_CLASSICAL
 
 
 def test_modpoly_unsupported_level():

@@ -1,0 +1,147 @@
+"""Per-prime cost of Frobenius-trace counting, by method and ell bin.
+
+    python3 tools/bench_count.py [--src DIR]... [--rounds N] [--out PATH]
+
+For each source tree (default: this checkout's src/) it times
+`galois.count_points(curve, ell, method)` for "exhaustive" and "bsgs" on
+six fixed seeded curves, as microseconds per prime of good reduction in
+the ell bins of BINS, and a warm `frobenius_sample(curve, 2000)` per curve
+with the trace cache cleared first.  Every (round, tree) is measured in a
+fresh spawned process, one at a time, and the trees alternate which goes
+first from round to round, so a parent checkout given as a second --src
+is timed the same way and under the same host conditions.  Each figure
+written is the median over rounds.  The JSON (default BENCH_count.json at
+the root of the checkout) records nproc, the Python version and each
+tree's git commit, the trees in --src order.
+"""
+
+import argparse
+import json
+import os
+import platform
+import random
+import statistics
+import subprocess
+import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BINS = ((5, 100), (100, 300), (300, 1000), (1000, 3000))
+METHODS = ("exhaustive", "bsgs")
+SAMPLE_BOUND = 2000
+
+
+def _curves(galois):
+    """11a3, 37a1 and four long Weierstrass models drawn from a fixed seed."""
+    rng = random.Random(20261019)
+    curves = [galois.parse_curve("[0,-1,1,0,0]"),
+              galois.parse_curve("[0,0,1,-1,0]")]
+    while len(curves) < 6:
+        try:
+            curves.append(galois.EllipticCurve(
+                *(rng.randrange(-30, 31) for _ in range(5))))
+        except ValueError:
+            continue
+    return curves
+
+
+def measure(src, bins=BINS):
+    """One round on the heckelab under `src`, run in a fresh process."""
+    sys.path.insert(0, src)
+    from heckelab import galois
+    if not galois.__file__.startswith(os.path.abspath(src)):
+        raise RuntimeError(f"heckelab resolved to {galois.__file__}")
+    curves = _curves(galois)
+    pairs = {}
+    for lo, hi in bins:
+        ells = [ell for ell in galois.primes_upto(hi - 1) if ell >= lo]
+        pairs[lo, hi] = [(c, ell) for c in curves for ell in ells
+                         if c.discriminant().numerator % ell]
+    for c, ell in pairs[bins[0]][:20]:  # warm the interpreter and imports
+        for method in METHODS:
+            galois.count_points(c, ell, method)
+    per_prime = {}
+    for method in METHODS:
+        per_prime[method] = {}
+        for (lo, hi), todo in pairs.items():
+            t0 = time.perf_counter()
+            for c, ell in todo:
+                galois.count_points(c, ell, method)
+            per_prime[method][f"{lo}-{hi}"] = \
+                (time.perf_counter() - t0) / len(todo) * 1e6
+    sample_ms = []
+    for c in curves:
+        galois._a_ell.cache_clear()
+        t0 = time.perf_counter()
+        galois.frobenius_sample(c, SAMPLE_BOUND)
+        sample_ms.append((time.perf_counter() - t0) * 1e3)
+    galois._a_ell.cache_clear()
+    return {"per_prime_us": per_prime,
+            "frobenius_sample_ms": statistics.mean(sample_ms),
+            "curves": [str(c) for c in curves]}
+
+
+def _commit(src):
+    try:
+        out = subprocess.run(["git", "-C", src, "describe", "--always",
+                              "--dirty", "--abbrev=40"],
+                             capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None  # an exported tree has no history
+    return out.stdout.strip()
+
+
+def _in_fresh_process(src):
+    with ProcessPoolExecutor(1, mp_context=get_context("spawn")) as pool:
+        return pool.submit(measure, src).result()
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", action="append",
+                        help="a tree's src/ directory; repeat to compare")
+    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_count.json"))
+    args = parser.parse_args()
+    srcs = [os.path.abspath(s) for s in args.src or [os.path.join(ROOT, "src")]]
+    runs = {src: [] for src in srcs}
+    for r in range(args.rounds):
+        for src in srcs if r % 2 == 0 else srcs[::-1]:
+            runs[src].append(_in_fresh_process(src))
+    trees = []
+    for src, rounds in runs.items():
+        per_prime = {m: {b: statistics.median(x["per_prime_us"][m][b]
+                                              for x in rounds)
+                         for b in rounds[0]["per_prime_us"][m]}
+                     for m in METHODS}
+        trees.append({
+            "commit": _commit(src),
+            "per_prime_us": per_prime,
+            "frobenius_sample_ms": statistics.median(
+                x["frobenius_sample_ms"] for x in rounds),
+            "frobenius_sample_ms_rounds": [x["frobenius_sample_ms"]
+                                           for x in rounds],
+        })
+    report = {"machine": {"nproc": os.cpu_count(),
+                          "python": platform.python_version(),
+                          "platform": platform.machine()},
+              "rounds": args.rounds,
+              "curves": runs[srcs[0]][0]["curves"],
+              "sample_bound": SAMPLE_BOUND,
+              "trees": trees}  # in --src order
+    with open(args.out, "w") as fh:
+        json.dump(report, fh, indent=1)
+        fh.write("\n")
+    for src, tree in zip(srcs, trees):
+        print(src, tree["commit"])
+        for m in METHODS:
+            print(f"  {m:10s}", "  ".join(f"[{b}) {v:7.1f} us" for b, v in
+                                          tree["per_prime_us"][m].items()))
+        print(f"  frobenius_sample(c, {SAMPLE_BOUND}) "
+              f"{tree['frobenius_sample_ms']:.1f} ms per curve")
+
+
+if __name__ == "__main__":
+    main()
