@@ -107,15 +107,20 @@ def test_dual_agreement_random_curves():
         tried += 1
 
 
-def test_auto_matches_exhaustive_across_cutoff(monkeypatch):
-    rng = random.Random(17)
-    curves = [E_11A3, E_37A1]
-    while len(curves) < 5:
+def _seeded_curves(n, seed):
+    rng = random.Random(seed)
+    curves = []
+    while len(curves) < n:
         try:
             curves.append(EllipticCurve(*(rng.randrange(-30, 31)
                                           for _ in range(5))))
         except ValueError:
             continue
+    return curves
+
+
+def test_auto_matches_exhaustive_across_cutoff(monkeypatch):
+    curves = [E_11A3, E_37A1] + _seeded_curves(3, 17)
     exhaustive = galois._count_exhaustive
     truth = {}
     for curve in curves:
@@ -140,18 +145,6 @@ def test_auto_matches_exhaustive_across_cutoff(monkeypatch):
         if ell >= 5:
             assert count_points(curve, ell, "bsgs") == a
     assert fallbacks and max(fallbacks) < BSGS_CUTOFF
-
-
-def _seeded_curves(n, seed):
-    rng = random.Random(seed)
-    curves = []
-    while len(curves) < n:
-        try:
-            curves.append(EllipticCurve(*(rng.randrange(-30, 31)
-                                          for _ in range(5))))
-        except ValueError:
-            continue
-    return curves
 
 
 def _short_models(curves, bound):
