@@ -97,7 +97,7 @@ class EllipticCurve:
 
     @cached_property
     def _hash(self):
-        # the dataclass hash, computed once: _a_ell hashes the curve per ell
+        # computed once: _a_ell hashes the curve per ell, _canonical per sample
         return hash((self.a1, self.a2, self.a3, self.a4, self.a6))
 
     def quadratic_twist(self, d: int) -> "EllipticCurve":
@@ -341,6 +341,18 @@ def _a_ell(curve, ell):
     return count_points(curve, ell)
 
 
+@lru_cache(maxsize=256)
+def _canonical(curve):
+    # the first of equal curves seen: _a_ell then matches it by identity,
+    # not by comparing five Fractions at every ell
+    return curve
+
+
+@lru_cache(maxsize=8)
+def _primes(bound):
+    return tuple(primes_upto(bound))
+
+
 @dataclass(frozen=True)
 class FrobeniusSample:
     curve: str
@@ -353,9 +365,13 @@ class FrobeniusSample:
 
 
 def frobenius_sample(curve: EllipticCurve, bound: int) -> FrobeniusSample:
-    """a_ell for every prime of good reduction up to bound, ascending."""
+    """a_ell for every prime of good reduction up to bound, ascending.
+
+    A curve equal to one sampled before (the same text parsed again) is
+    matched to it once per call, so each cached trace is found by identity."""
+    curve = _canonical(curve)
     rows = []
-    for ell in primes_upto(bound):
+    for ell in _primes(bound):
         try:
             rows.append((ell, _a_ell(curve, ell)))
         except BadReduction:

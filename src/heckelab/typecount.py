@@ -19,12 +19,15 @@ from .galois import EllipticCurve, certify_goursat_pair, certify_mod_p_image
 
 # largest order of a subgroup of SL2(F_p) whose projective image is
 # contained in the named maximal class (intersections with SL2 of a
-# Borel, the Cartan normalizers, and the largest exceptional group)
+# Borel, the Cartan normalizers, and the largest exceptional group: binary
+# tetrahedral (24) always, octahedral (48) if p = +-1 mod 8, icosahedral
+# (120) if p = +-1 mod 10; SL2(F_5) itself is icosahedral, so not at 5)
 _CONSISTENT_ORDER = {
     "ContainedInBorel": lambda p: p * (p - 1),
     "ContainedInNormalizerCartan(split)": lambda p: 2 * (p - 1),
     "ContainedInNormalizerCartan(nonsplit)": lambda p: 2 * (p + 1),
-    "ExceptionalPossible": lambda p: {5: 24, 7: 48, 11: 120, 13: 24}[p],
+    "ExceptionalPossible": lambda p: (120 if p % 10 in (1, 9) else
+                                      48 if p % 8 in (1, 7) else 24),
 }
 
 

@@ -246,6 +246,62 @@ def test_sample_excludes_bad_primes_and_sorts():
     assert set(ells) | {11} == set(primes_upto(100))
 
 
+def _fresh_trace_caches():
+    galois._a_ell.cache_clear()
+    galois._canonical.cache_clear()
+
+
+def _refuse_counting(monkeypatch):
+    def refuse(curve, ell, method="auto"):
+        raise AssertionError(f"counted {curve} at {ell}")
+    monkeypatch.setattr(galois, "count_points", refuse)
+
+
+def test_equal_curves_share_traces_by_one_match(monkeypatch):
+    # 37 is the only bad prime of 37a1, so below it every prime is good
+    _fresh_trace_caches()
+    first = frobenius_sample(parse_curve("[0,0,1,-1,0]"), 36)
+    good = len(first.samples)
+    assert good == len(primes_upto(36))
+    _refuse_counting(monkeypatch)
+    compares = []
+    eq = EllipticCurve.__eq__
+    monkeypatch.setattr(EllipticCurve, "__eq__",
+                        lambda x, y: compares.append(1) or eq(x, y))
+    for text in ("[0, 0, 1, -1, 0]", "[0,0,1,-2/2,0]"):
+        before = galois._a_ell.cache_info()
+        del compares[:]
+        again = frobenius_sample(parse_curve(text), 36)
+        after = galois._a_ell.cache_info()
+        assert again == first
+        assert after.hits - before.hits == good
+        assert after.misses == before.misses
+        assert len(compares) <= 1  # once per sample, not once per ell
+
+
+def test_curve_differing_in_one_coefficient_gets_its_own_traces():
+    _fresh_trace_caches()
+    frobenius_sample(E_37A1, 36)
+    other = parse_curve("[0,0,1,-1,1]")
+    before = galois._a_ell.cache_info()
+    sample = frobenius_sample(other, 36)
+    after = galois._a_ell.cache_info()
+    assert after.hits == before.hits
+    assert after.misses - before.misses == len(primes_upto(36))
+    bad = other.discriminant().numerator
+    assert sample.samples == tuple((ell, count_points(other, ell))
+                                   for ell in primes_upto(36) if bad % ell)
+    assert sample.samples != frobenius_sample(E_37A1, 36).samples
+
+
+def test_mutating_primes_upto_leaves_samples_alone():
+    sample = frobenius_sample(E_11A3, 100)
+    ps = primes_upto(100)
+    ps[:] = [4, 6]
+    assert primes_upto(100)[:2] == [2, 3]
+    assert frobenius_sample(E_11A3, 100) == sample
+
+
 def test_borel_containment_mod_5():
     cert = certify_mod_p_image(E_11A3, 5, 1000)
     assert cert.verdict == "ContainedInBorel"

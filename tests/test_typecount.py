@@ -2,10 +2,17 @@ import random
 
 import pytest
 
-from heckelab.congruence import Subgroup, closure, enumerate_sl2, sl2_order
+from heckelab.congruence import (
+    Subgroup,
+    closure,
+    enumerate_sl2,
+    sl2_order,
+    subgroup_order,
+)
 from heckelab.errors import EvidenceInsufficient
 from heckelab.galois import parse_curve
 from heckelab.typecount import (
+    _CONSISTENT_ORDER,
     CosetSpace,
     count_orbits,
     regular_space,
@@ -187,3 +194,47 @@ def test_evidence_insufficient_paths():
         type_count_report(E_11A3, 11)  # 11 divides the discriminant
     with pytest.raises(EvidenceInsufficient):
         type_count_report([E_11A3, E_37A1], 5)  # Borel factor blocks the pair
+
+
+EXCEPTIONAL_ORDER = _CONSISTENT_ORDER["ExceptionalPossible"]
+
+
+def test_exceptional_order_rule_keeps_the_old_table():
+    assert {p: EXCEPTIONAL_ORDER(p) for p in (5, 7, 11, 13)} == \
+        {5: 24, 7: 48, 11: 120, 13: 24}
+
+
+def _mul_mod(x, y, p):
+    a, b, c, d = x
+    e, f, g, h = y
+    return ((a * e + b * g) % p, (a * f + b * h) % p,
+            (c * e + d * g) % p, (c * f + d * h) % p)
+
+
+def _pow_mod(x, k, p):
+    r = (1, 0, 0, 1)
+    for _ in range(k):
+        r = _mul_mod(r, x, p)
+    return r
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])
+def test_exceptional_order_rule_matches_a_subgroup_search(p):
+    # The binary tetrahedral, octahedral and icosahedral groups (orders 24,
+    # 48, 120) are <s, t> with s^3 = t^n = (st)^2 = -1, n = 3, 4, 5.  Every
+    # element of order 6 in SL2(F_p) is conjugate in GL2(F_p) to s below, so
+    # searching t with s fixed finds each such proper subgroup up to
+    # conjugacy, and its order comes from the kernel chain.
+    minus = (p - 1, 0, 0, p - 1)
+    s = (0, p - 1, 1, 1)
+    assert _pow_mod(s, 3, p) == minus
+    largest = 0
+    for n, order in ((3, 24), (4, 48), (5, 120)):
+        for t in enumerate_sl2(p).elements:
+            if (_pow_mod(t, n, p) == minus
+                    and _pow_mod(_mul_mod(s, t, p), 2, p) == minus):
+                assert subgroup_order([s, t], p) == order
+                if order < sl2_order(p):
+                    largest = order
+                break
+    assert largest == EXCEPTIONAL_ORDER(p)
