@@ -251,19 +251,16 @@ def _fresh_trace_caches():
     galois._canonical.cache_clear()
 
 
-def _refuse_counting(monkeypatch):
-    def refuse(curve, ell, method="auto"):
-        raise AssertionError(f"counted {curve} at {ell}")
-    monkeypatch.setattr(galois, "count_points", refuse)
-
-
 def test_equal_curves_share_traces_by_one_match(monkeypatch):
     # 37 is the only bad prime of 37a1, so below it every prime is good
     _fresh_trace_caches()
     first = frobenius_sample(parse_curve("[0,0,1,-1,0]"), 36)
     good = len(first.samples)
     assert good == len(primes_upto(36))
-    _refuse_counting(monkeypatch)
+
+    def refuse(curve, ell, method="auto"):
+        raise AssertionError(f"counted {curve} at {ell}")
+    monkeypatch.setattr(galois, "count_points", refuse)
     compares = []
     eq = EllipticCurve.__eq__
     monkeypatch.setattr(EllipticCurve, "__eq__",
