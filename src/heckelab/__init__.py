@@ -64,13 +64,10 @@ from .galois import (
 from .hecke import (
     CosetDecomposition,
     ModularPolynomial,
-    cached_modular_polynomial,
     correspondence_fiber,
     double_coset_reps,
-    load_modpoly,
     modular_polynomial,
     psi,
-    save_modpoly,
     verify_disjoint,
 )
 from .jfunction import (

@@ -40,7 +40,7 @@ from .galois import (
     parse_curve,
     standard_lifts,
 )
-from .hecke import cached_modular_polynomial, double_coset_reps, psi
+from .hecke import double_coset_reps, modular_polynomial, psi
 from .jfunction import QSeriesContext, j
 from .moebius import (
     CMPoint,
@@ -277,7 +277,7 @@ def _run_hecke_cosets(args):
 
 
 def _run_modpoly(args):
-    phi = cached_modular_polynomial(args.n)
+    phi = modular_polynomial(args.n)
     report = {"n": args.n, "degX": phi.degX, "degY": phi.degY,
               "symmetric": phi.is_symmetric(),
               "coefficients": [[i, k, c] for (i, k), c in

@@ -13,7 +13,6 @@ read as dyadic Gaussian integers, and only the final quotient is rounded.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, isqrt
@@ -174,28 +173,6 @@ class ModularPolynomial:
             out.append(c)
         return out
 
-    def to_text(self) -> str:
-        lines = [f"MODPOLY {self.n} {self.degX} {self.degY}"]
-        for (i, j) in sorted(self.coeffs):
-            lines.append(f"{i} {j} {self.coeffs[(i, j)]}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "ModularPolynomial":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        head = lines[0].split() if lines else []
-        if len(head) != 4 or head[0] != "MODPOLY":
-            raise ValueError("missing MODPOLY header")
-        n, degX, degY = int(head[1]), int(head[2]), int(head[3])
-        coeffs = {}
-        for ln in lines[1:]:
-            i, j, c = ln.split()
-            coeffs[(int(i), int(j))] = int(c)
-        phi = cls.from_map(n, coeffs)
-        if phi.degX != degX or phi.degY != degY:
-            raise ValueError("degree header disagrees with coefficient lines")
-        return phi
-
 
 def _dyadic(z) -> tuple:
     """(a, b, e) with z = (a + b*i) 2^e exactly, for a finite int, float,
@@ -259,7 +236,7 @@ def modular_polynomial(n: int) -> ModularPolynomial:
     if n > 1 and not is_squarefree(n):
         raise NotSquarefree(f"n={n} is not squarefree")
     if n not in (2, 3):
-        raise ValueError("only n in {1,2,3} is computed here; load larger n from cache")
+        raise ValueError("only n in {1,2,3} is computed here")
     deg = psi(n)
     # Newton's step k multiplies e_(k-i) by p_i, losing n*i exponents; this
     # top leaves every e_k exact through at least q^(_CHECK_TERMS + n)
@@ -295,34 +272,6 @@ def modular_polynomial(n: int) -> ModularPolynomial:
                     f"Phi_{n}: the Y^{deg - k} coefficient is not a polynomial "
                     f"in X; {c} is left at q^{t - n * k}")
     return ModularPolynomial.from_map(n, coeffs)
-
-
-def save_modpoly(phi: ModularPolynomial, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(phi.to_text())
-
-
-def load_modpoly(path: str) -> ModularPolynomial:
-    with open(path) as fh:
-        return ModularPolynomial.from_text(fh.read())
-
-
-def cached_modular_polynomial(n: int, cache_dir: str | None = None) -> ModularPolynomial:
-    """Look up phi_n in the cache directory before computing it."""
-    if cache_dir is None:
-        cache_dir = os.environ.get("HECKE_LAB_CACHE", "")
-    if cache_dir:
-        path = os.path.join(cache_dir, f"modpoly_{n}.txt")
-        if os.path.exists(path):
-            phi = load_modpoly(path)
-            if phi.n != n:
-                raise ValueError(f"{path} holds Phi_{phi.n}, not Phi_{n}")
-            return phi
-        phi = modular_polynomial(n)
-        os.makedirs(cache_dir, exist_ok=True)
-        save_modpoly(phi, path)
-        return phi
-    return modular_polynomial(n)
 
 
 def correspondence_fiber(phi: ModularPolynomial, X0, prec_bits: int = 128,

@@ -61,15 +61,22 @@ def test_hecke_cosets_rejects_non_squarefree(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_modpoly_cached(tmp_path, monkeypatch, capsys):
+def test_modpoly_ignores_a_cache_directory(tmp_path, monkeypatch, capsys):
+    """Phi_n is always computed: a modpoly_<n>.txt in the directory that
+    HECKE_LAB_CACHE names is neither read nor written."""
+    from heckelab.hecke import modular_polynomial
+    (tmp_path / "modpoly_2.txt").write_text(
+        "MODPOLY 2 3 3\n0 3 1\n2 2 5\n3 0 1\n")
+    before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
     monkeypatch.setenv("HECKE_LAB_CACHE", str(tmp_path))
     code, doc = run(capsys, ["modpoly", "2"])
     assert code == 0
     assert doc["report"]["symmetric"] is True
+    assert doc["report"]["coefficients"] == [
+        [i, k, c] for (i, k), c in sorted(modular_polynomial(2).coeffs.items())]
     assert [2, 2, -1] in doc["report"]["coefficients"]
-    assert (tmp_path / "modpoly_2.txt").exists()
-    code2, doc2 = run(capsys, ["modpoly", "2"])
-    assert doc2 == doc
+    assert run(capsys, ["modpoly", "3"])[0] == 0
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
 
 
 def test_j_command(capsys):
@@ -310,20 +317,6 @@ def test_types_gens_level_above_scan_bound(capsys):
     assert "exceeds the scan bound 30" in captured.err
 
 
-def test_modpoly_cache_for_other_n_is_usage_error(tmp_path, monkeypatch,
-                                                  capsys):
-    from heckelab.hecke import modular_polynomial
-    monkeypatch.setenv("HECKE_LAB_CACHE", str(tmp_path))
-    cache = tmp_path / "modpoly_2.txt"
-    for text, message in ((modular_polynomial(3).to_text(), "holds Phi_3"),
-                          ("", "missing MODPOLY header")):
-        cache.write_text(text)
-        assert cli.main(["modpoly", "2"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert message in captured.err
-
-
 @pytest.mark.parametrize("n", [4, 12])
 def test_modpoly_not_squarefree_says_so(n, capsys):
     assert cli.main(["modpoly", str(n)]) == 2
@@ -499,6 +492,21 @@ def test_zero_denominator_is_usage_error(argv, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["frobenius", "[0,0,1,-1,0]"],
+    ["image", "[0,0,1,-1,0]", "--p", "5"],
+    ["goursat", "[0,0,1,-1,0]", "[0,-1,1,0,0]", "--p", "5"],
+    ["types", "--curve", "[0,0,1,-1,0]", "--level", "5"],
+])
+def test_upto_beyond_bsgs_limit_is_usage_error_before_sieving(argv, capsys):
+    # a sieve to 10^13 would need 10 TB: the bound is refused first
+    assert cli.main(argv + ["--upto", "10000000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: bound must be at most 10000000, "
+                            "got 10000000000000\n")
+
+
 def test_precision_bits_too_large_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["j", "0+1i", "--precision-bits", "99999999999999999999"])
@@ -550,7 +558,8 @@ _TOKENS = ["1/0", "0/0", "nan", "-inf", "1e400", "99999999999999999999",
            "-0.3+0.5i", "0.1+nani", "x", "", "[a]", "[]", "[1,2]",
            "[[[1.5,0],[0,1]]]", "[[[2,0],[0,1]]]", "[[1/0,0],[0,1]]",
            "[1/0,0,0,1,1]", "[0,0,0,1,1/0]", "[0,0,0,0,0]", "-3", "0", "30"]
-_CAPPED = {"--upto": ["-5", "0", "1/0", "nan"], "--trials": ["-1", "0", "x"],
+_CAPPED = {"--upto": ["-5", "0", "1/0", "nan", "10000000000000"],
+           "--trials": ["-1", "0", "x"],
            # one path under a missing directory, one that is a directory
            "--output": [os.path.join(os.path.dirname(__file__), "no-such-dir",
                                      "x.json"), os.path.dirname(__file__)]}

@@ -276,6 +276,18 @@ def test_equal_curves_share_traces_by_one_match(monkeypatch):
         assert len(compares) <= 1  # once per sample, not once per ell
 
 
+def test_bad_prime_is_counted_once_per_curve(monkeypatch):
+    # 11 is the only bad prime of 11a3
+    _fresh_trace_caches()
+    first = frobenius_sample(parse_curve("[0,-1,1,0,0]"), 36)
+    assert 11 not in dict(first.samples)
+
+    def refuse(curve, ell, method="auto"):
+        raise AssertionError(f"counted {curve} at {ell}")
+    monkeypatch.setattr(galois, "count_points", refuse)
+    assert frobenius_sample(parse_curve("[0,-1,1,0,0]"), 36) == first
+
+
 def test_curve_differing_in_one_coefficient_gets_its_own_traces():
     _fresh_trace_caches()
     frobenius_sample(E_37A1, 36)
@@ -624,6 +636,17 @@ def test_goursat_decompose_not_subdirect():
     fmg = enumerate_sl2(5)
     with pytest.raises(NotSubdirect):
         goursat_decompose([(g, fmg.identity) for g in fmg.elements], fmg, fmg)
+
+
+def test_goursat_decompose_rejects_a_graph_that_is_not_a_subgroup():
+    # the identity map with two images swapped is a bijection onto G2 but
+    # not a homomorphism; a sampled product check let such sets through
+    fmg = enumerate_sl2(30)
+    x, y = (0, 7, 17, 29), (29, 28, 1, 1)
+    swap = {x: y, y: x}
+    with pytest.raises(ValueError, match="not a subgroup"):
+        goursat_decompose([(g, swap.get(g, g)) for g in fmg.elements],
+                          fmg, fmg)
 
 
 def test_mixed_level_decompose():

@@ -7,14 +7,11 @@ from heckelab import hecke
 from heckelab.errors import IllConditioned, NotSquarefree, PrecisionExhausted
 from heckelab.hecke import (
     ModularPolynomial,
-    cached_modular_polynomial,
     correspondence_fiber,
     double_coset_reps,
     is_squarefree,
-    load_modpoly,
     modular_polynomial,
     psi,
-    save_modpoly,
     verify_disjoint,
 )
 from heckelab.jfunction import QSeriesContext, j
@@ -204,39 +201,6 @@ def test_shared_phi_is_read_only():
 def test_modpoly_unsupported_level():
     with pytest.raises(ValueError):
         modular_polynomial(5)
-
-
-def test_cache_round_trip(tmp_path):
-    phi = modular_polynomial(3)
-    path = tmp_path / "modpoly_3.txt"
-    save_modpoly(phi, str(path))
-    again = load_modpoly(str(path))
-    assert again.coeffs == phi.coeffs
-    assert again.n == 3 and again.degX == 4
-    # byte-exact round trip of the serialization itself
-    assert again.to_text() == phi.to_text()
-    assert path.read_text().startswith("MODPOLY 3 4 4\n")
-
-
-def test_cache_env_lookup(tmp_path, monkeypatch):
-    monkeypatch.setenv("HECKE_LAB_CACHE", str(tmp_path))
-    phi = cached_modular_polynomial(2)
-    assert (tmp_path / "modpoly_2.txt").exists()
-    # second call loads from disk; doctor the file to prove it is read
-    doctored = phi.to_text().replace("MODPOLY 2", "MODPOLY 2", 1)
-    (tmp_path / "modpoly_2.txt").write_text(doctored)
-    assert cached_modular_polynomial(2).coeffs == phi.coeffs
-
-
-def test_from_text_validation():
-    with pytest.raises(ValueError):
-        ModularPolynomial.from_text("NOTMODPOLY 2 3 3\n0 0 1\n")
-    with pytest.raises(ValueError):
-        ModularPolynomial.from_text("MODPOLY 2 9 9\n0 0 1\n")
-    with pytest.raises(ValueError):
-        ModularPolynomial.from_text("")
-    with pytest.raises(ValueError):
-        ModularPolynomial.from_text("MODPOLY 2")
 
 
 def test_fiber_phi1():
