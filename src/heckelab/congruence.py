@@ -16,10 +16,10 @@ from __future__ import annotations
 import json
 import re as _re
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .errors import BadDeterminant, IncompatibleLevel, LevelTooLarge
-from .moebius import ElementKind, RatMatrix, classify, parse_matrix
+from .moebius import ElementKind, RatMatrix, classify, factor, parse_matrix
 
 MAX_LEVEL = 30
 
@@ -96,11 +96,7 @@ def membership(G: GroupDescriptor, gamma: RatMatrix) -> bool:
 
 
 def _tuple_det_lcm(G: GroupDescriptor) -> int:
-    out = 1
-    for g in G.tuple_mats:
-        d = int(g.normalized().det())
-        out = out * d // gcd(out, d)
-    return out
+    return lcm(*(int(g.normalized().det()) for g in G.tuple_mats))
 
 
 def compatibility_divisor(G: GroupDescriptor) -> int:
@@ -126,10 +122,8 @@ def required_level(G: GroupDescriptor) -> int:
         return 1
     if G.kind != "cap":
         return G.level
-    r = _tuple_det_lcm(G)
-    for g in G.tuple_mats:
-        for e in g.entries():
-            r = r * e.denominator // gcd(r, e.denominator)
+    r = lcm(_tuple_det_lcm(G),
+            *(e.denominator for g in G.tuple_mats for e in g.entries()))
     return required_level(G.base) * r * r
 
 
@@ -222,29 +216,18 @@ class FiniteMatrixGroup:
         return tuple(int(e) % self.N for e in gamma.entries())
 
 
-def _prime_factors(n: int) -> list:
-    """The primes of n in ascending order, with multiplicity."""
-    out, p = [], 2
-    while p * p <= n:
-        while n % p == 0:
-            out.append(p)
-            n //= p
-        p += 1
-    return out + [n] if n > 1 else out
-
-
 def sl2_order(N: int) -> int:
     """N^3 * prod_{p | N} (1 - 1/p^2), computed in exact integers."""
     order = N ** 3
-    for p in set(_prime_factors(N)):
+    for p in factor(N):
         order = order // (p * p) * (p * p - 1)
     return order
 
 
-def enumerate_sl2(N: int, max_level: int = MAX_LEVEL) -> FiniteMatrixGroup:
+def enumerate_sl2(N: int) -> FiniteMatrixGroup:
     """Scan (a,b,c) and solve a*d = 1 + b*c mod N for d."""
-    if N > max_level:
-        raise LevelTooLarge(f"N={N} exceeds the scan bound {max_level}")
+    if N > MAX_LEVEL:
+        raise LevelTooLarge(f"N={N} exceeds the scan bound {MAX_LEVEL}")
     if N < 1:
         raise ValueError("N must be positive")
     elements = []
@@ -341,10 +324,11 @@ def subgroup_order(gens, N: int) -> int:
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
     mods, sizes, m = [], [], 1
-    for p in _prime_factors(N):
-        sizes.append(p ** 3 if m % p == 0 else p * (p * p - 1))
-        m *= p
-        mods.append(m)
+    for p, e in factor(N).items():
+        for k in range(e):
+            sizes.append(p ** 3 if k else p * (p * p - 1))
+            m *= p
+            mods.append(m)
     one = (1, 0, 0, 1)  # every modulus of the chain is at least 2
     trans = [{one: one} for _ in mods]
     layer_gens = [[] for _ in mods]
@@ -456,7 +440,7 @@ def parent_generators(fmg: FiniteMatrixGroup):
     return [(0, (-1) % N, 1 % N, 0), (1 % N, 1 % N, 0, 1 % N)]
 
 
-def image_at_level(G: GroupDescriptor, N: int, max_level: int = MAX_LEVEL) -> Subgroup:
+def image_at_level(G: GroupDescriptor, N: int) -> Subgroup:
     """{gamma mod N : gamma in G}, via lift-and-test over all of SL2(Z/N).
 
     Well-defined only when Gamma(N) <= G, i.e. the compatibility divisor of
@@ -465,22 +449,20 @@ def image_at_level(G: GroupDescriptor, N: int, max_level: int = MAX_LEVEL) -> Su
     div = compatibility_divisor(G)
     if N % div:
         raise IncompatibleLevel(f"level {N} is not a multiple of {div}")
-    fmg = enumerate_sl2(N, max_level)
+    fmg = enumerate_sl2(N)
     members = [m for m in fmg if membership(G, lift_to_sl2z(m, N))]
     return Subgroup(fmg, members)
 
 
-def index(G: GroupDescriptor, in_group: GroupDescriptor | None = None,
-          max_level: int = MAX_LEVEL) -> int:
+def index(G: GroupDescriptor, in_group: GroupDescriptor | None = None) -> int:
     """[in_group : G] computed in a single sufficient finite quotient."""
     if in_group is None:
         in_group = full()
-    la, lb = required_level(G), required_level(in_group)
-    L = la * lb // gcd(la, lb)
+    L = lcm(required_level(G), required_level(in_group))
     if L == 1:
         return 1
-    img_g = image_at_level(G, L, max_level)
-    img_in = image_at_level(in_group, L, max_level)
+    img_g = image_at_level(G, L)
+    img_in = image_at_level(in_group, L)
     if not img_g.elements <= img_in.elements:
         raise ValueError("index requires G contained in the ambient group")
     q, r = divmod(len(img_in), len(img_g))

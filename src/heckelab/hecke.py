@@ -21,8 +21,8 @@ from types import MappingProxyType
 import mpmath
 
 from .errors import IllConditioned, NotSquarefree, PrecisionExhausted
-from .moebius import RatMatrix
-from .qexp import j_power_coefficients
+from .moebius import RatMatrix, factor
+from .qexp import j_power_coefficients, series_mul
 
 # positive q-exponents beyond the pole on which every peeled remainder of a
 # Y-coefficient is checked to vanish
@@ -30,30 +30,14 @@ _CHECK_TERMS = 12
 
 
 def is_squarefree(n: int) -> bool:
-    if n < 1:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        if n % p == 0:
-            n //= p
-        p += 1 if p == 2 else 2
-    return True
+    return n >= 1 and all(e == 1 for e in factor(n).values())
 
 
 def psi(n: int) -> int:
     """n * prod_{p|n} (1 + 1/p), the coset count for squarefree n."""
-    out, m, p = n, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            out = out // p * (p + 1)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out = out // m * (m + 1)
-    return out
+    for p in factor(n):
+        n = n // p * (p + 1)
+    return n
 
 
 @dataclass(frozen=True)
@@ -75,7 +59,7 @@ def double_coset_reps(n: int) -> CosetDecomposition:
             continue
         d = n // a
         for b in range(d):
-            if gcd(gcd(a, b), d) == 1:
+            if gcd(a, b, d) == 1:
                 reps.append(RatMatrix(a, b, 0, d))
     assert len(reps) == psi(n)
     assert verify_disjoint(reps)
@@ -92,7 +76,7 @@ def verify_disjoint(reps) -> bool:
         for p, q, r, s in ints[i + 1 :]:
             # (a,b;c,d) * (s,-q;-r,p)
             w, x, y, z = a * s - b * r, b * p - a * q, c * s - d * r, d * p - c * q
-            g = gcd(gcd(w, x), gcd(y, z))
+            g = gcd(w, x, y, z)
             if w * z - x * y == g * g:
                 return False
     return True
@@ -189,20 +173,6 @@ def _dyadic(z) -> tuple:
     return a, b, e
 
 
-def _laurent_mul(f, g):
-    """Product of integer Laurent series (lo, coeffs), coeffs[i] the exact
-    coefficient of q^(lo+i).  A factor with pole order P spoils the top P
-    exponents of the other, so the product keeps min(len f, len g) terms."""
-    (lf, cf), (lg, cg) = f, g
-    size = min(len(cf), len(cg))
-    out = [0] * size
-    for i, x in enumerate(cf[:size]):
-        if x:
-            for k, y in enumerate(cg[: size - i]):
-                out[i + k] += x * y
-    return lf + lg, out
-
-
 def _power_sums(n: int, deg: int, top: int, K: int) -> list:
     """p_s = sum over the reps of j(rep tau)^s, s = 1..deg, through q^top.
 
@@ -218,7 +188,7 @@ def _power_sums(n: int, deg: int, top: int, K: int) -> list:
         for a, d in pairs:
             for u in range(-(s // d), top // a + 1):
                 out[a * u + n * s] += d * js[d * u + s]
-        sums.append((-n * s, out))
+        sums.append(out)  # entry t: q^(t - n s)
     return sums
 
 
@@ -243,20 +213,23 @@ def modular_polynomial(n: int) -> ModularPolynomial:
     top = _CHECK_TERMS + n * deg
     K = n * top + deg  # every j^M read below shares one j_coefficients(K)
     sums = _power_sums(n, deg, top, K)
-    elem = [(0, [1] + [0] * (top + n * deg))]
+    elem = [[1] + [0] * (top + n * deg)]  # e_k entry t: q^(t - n k)
     coeffs = {(0, deg): 1}
     for k in range(1, deg + 1):
-        # Newton: k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i
-        prods = [_laurent_mul(elem[k - i], sums[i - 1]) for i in range(1, k + 1)]
+        # Newton: k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i.  A factor
+        # with pole order P spoils the top P exponents of the other, so a
+        # product keeps only as many terms as its shorter factor.
+        prods = [series_mul(e, p, min(len(e), len(p)))
+                 for e, p in zip(elem[k - 1::-1], sums)]
         work = []
-        for t in range(min(len(c) for _, c in prods)):
-            total = sum((-1) ** i * c[t] for i, (_, c) in enumerate(prods))
+        for t in range(min(map(len, prods))):
+            total = sum((-1) ** i * c[t] for i, c in enumerate(prods))
             if total % k:
                 raise PrecisionExhausted(
                     f"Phi_{n}: the Y^{deg - k} coefficient has q^{t - n * k} "
                     f"term {total}/{k}, not an integer")
             work.append(total // k)
-        elem.append((-n * k, list(work)))
+        elem.append(list(work))
         # peel: the q^-M term of what is left is the coefficient of j^M
         hi = len(work) - 1 - n * k
         for M in range(n * k, -1, -1):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import floor
+from math import floor, ulp
 
 import mpmath
 
@@ -157,8 +157,10 @@ def _series_eval(z: mpmath.mpc, ctx: QSeriesContext):
     tail = head / (1 - rho)
     value = _horner(j_coefficients(K)[1:], q, ctx.prec_bits + 60) + 1 / q
     # the kernel's 2^(-prec-40) and the rounding at prec+40 bits sit well
-    # under the 2^-prec term
-    return value, float(tail + mpmath.mpf(2) ** (-ctx.prec_bits) * (1 + abs(value)))
+    # under the 2^-prec term; a bound that underflows a float reports the
+    # least positive one, never 0.0
+    err = float(tail + mpmath.mpf(2) ** (-ctx.prec_bits) * (1 + abs(value)))
+    return value, err or ulp(0.0)
 
 
 def j(tau, ctx: QSeriesContext = DEFAULT_CTX) -> JResult:

@@ -14,39 +14,51 @@ import enum
 import re as _re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import mpmath
 
 from .errors import NotElliptic, PrecisionInsufficient
 
 _FRAC_RE = _re.compile(r"-?\d+(?:/\d+)?")
+FACTOR_LIMIT = 10**6
+
+
+def factor(n: int) -> dict[int, int]:
+    """{p: e} with n = prod p^e, primes ascending, for n >= 1.
+
+    Trial division by 2 and then by odd p.  A cofactor that still needs a
+    trial divisor above FACTOR_LIMIT (above 10^12 with no prime factor up
+    to 10^6) is refused with ValueError rather than factored for ever.
+    """
+    if n < 1:
+        raise ValueError(f"cannot factor {n}: not a positive integer")
+    out, p, m = {}, 2, n
+    while p * p <= m:
+        if p > FACTOR_LIMIT:
+            raise ValueError(f"cannot factor {n}: it needs a trial divisor "
+                             f"above FACTOR_LIMIT = {FACTOR_LIMIT}")
+        while m % p == 0:
+            out[p] = out.get(p, 0) + 1
+            m //= p
+        p += 1 if p == 2 else 2
+    if m > 1:
+        out[m] = 1
+    return out
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write n = m^2 * d with d squarefree and m > 0; return (m, d).
 
-    The sign of n goes into d.  Trial division; intended for desk-scale
-    discriminants, not cryptographic sizes.
+    The sign of n goes into d.  Factored by `factor`.
     """
     if n == 0:
         raise ValueError("0 has no squarefree part")
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    m, d = 1, 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            m *= p ** (e // 2)
-            if e % 2:
-                d *= p
-        p += 1 if p == 2 else 2
-    d *= n
-    return m, sign * d
+    m = d = 1
+    for p, e in factor(abs(n)).items():
+        m *= p ** (e // 2)
+        d *= p ** (e % 2)
+    return m, d if n > 0 else -d
 
 
 def _frac(x) -> Fraction:
@@ -128,13 +140,9 @@ class RatMatrix:
         then flips sign so the first nonzero entry is positive.  The Moebius
         action is invariant under this normalization.
         """
-        lcm_den = 1
-        for e in self.entries():
-            lcm_den = lcm_den * e.denominator // gcd(lcm_den, e.denominator)
-        ints = [int(e * lcm_den) for e in self.entries()]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
+        den = lcm(*(e.denominator for e in self.entries()))
+        ints = [int(e * den) for e in self.entries()]
+        g = gcd(*ints)
         ints = [v // g for v in ints]
         for v in ints:
             if v != 0:
@@ -304,11 +312,9 @@ def special_witness(tau: CMPoint) -> RatMatrix:
     exactly.
     """
     B, C = tau.minimal_polynomial()
-    lcm_den = B.denominator * C.denominator // gcd(B.denominator, C.denominator)
-    ints = [0, int(-C * lcm_den), lcm_den, int(B * lcm_den)]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    den = lcm(B.denominator, C.denominator)
+    ints = [0, int(-C * den), den, int(B * den)]
+    g = gcd(*ints)
     return RatMatrix(*(v // g for v in ints))
 
 

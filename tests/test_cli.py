@@ -184,6 +184,30 @@ def test_cli_import_leaves_out_numpy():
     assert out.strip() == "False"
 
 
+M127 = str(2 ** 127 - 1)  # a prime with no factor in reach of trial division
+
+
+@pytest.mark.parametrize("argv", [
+    ["modpoly", M127],
+    ["axiom", "mod1", "--n", M127],
+    ["axiom", "mod2", "--n", M127, "--X0", "5"],
+    ["special", "point", "--D", "-" + M127, "--x", "0", "--y", "1"],
+    ["axiom", "sp", "--D", "-" + M127, "--x", "0", "--y", "1"],
+    ["special", "matrix", "--m", f"[[0,-{M127}],[1,0]]"],
+])
+def test_unfactorable_integer_exits_2(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-m", "heckelab.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert "FACTOR_LIMIT" in done.stderr
+
+
 def test_axiom_sp(capsys):
     code, doc = run(capsys, ["axiom", "sp", "--D", "-3", "--x", "1/2",
                              "--y", "1/2"])
@@ -557,7 +581,8 @@ _COMMON = [("--seed", ["0", "7"]), ("--precision-bits", ["128"]),
 _TOKENS = ["1/0", "0/0", "nan", "-inf", "1e400", "99999999999999999999",
            "-0.3+0.5i", "0.1+nani", "x", "", "[a]", "[]", "[1,2]",
            "[[[1.5,0],[0,1]]]", "[[[2,0],[0,1]]]", "[[1/0,0],[0,1]]",
-           "[1/0,0,0,1,1]", "[0,0,0,1,1/0]", "[0,0,0,0,0]", "-3", "0", "30"]
+           "[1/0,0,0,1,1]", "[0,0,0,1,1/0]", "[0,0,0,0,0]", "-3", "0", "30",
+           "-" + M127, f"[[0,-{M127}],[1,0]]"]
 _CAPPED = {"--upto": ["-5", "0", "1/0", "nan", "10000000000000"],
            "--trials": ["-1", "0", "x"],
            # one path under a missing directory, one that is a directory

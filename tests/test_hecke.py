@@ -1,3 +1,4 @@
+import math
 import random
 
 import mpmath
@@ -236,6 +237,22 @@ def test_fiber_residual_gate():
     phi = modular_polynomial(2)
     with pytest.raises(IllConditioned):
         correspondence_fiber(phi, 100.0, tol=0.0)
+
+
+def test_is_squarefree_brute_force():
+    assert not any(is_squarefree(n) for n in range(-5, 1))
+    for n in range(1, 2001):
+        want = all(n % (k * k) for k in range(2, n + 1))
+        assert is_squarefree(n) == want, n
+
+
+def test_psi_counts_projective_line():
+    # P^1(Z/n) is the pairs (c, d) mod n with gcd(c, d, n) = 1 up to the
+    # units mod n, which act on them freely
+    for n in range(1, 301):
+        pairs = sum(math.gcd(c, d, n) == 1 for c in range(n) for d in range(n))
+        units = sum(math.gcd(u, n) == 1 for u in range(n))
+        assert psi(n) * units == pairs, n
 
 
 def test_psi_values():

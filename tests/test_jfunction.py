@@ -259,6 +259,12 @@ def test_error_bound_honest():
         assert abs(coarse.value - fine.value) <= coarse.abs_err
 
 
+def test_abs_err_does_not_underflow_to_zero():
+    # the bound here is below the least positive float
+    r = j(NumericPoint(0.1, 1.1, 1748), QSeriesContext(terms=260, prec_bits=1748))
+    assert r.abs_err > 0.0
+
+
 def test_jresult_dict_shape():
     d = j(CMPoint(-1, 0, 1)).to_dict()
     assert set(d) == {"value", "abs_err"}

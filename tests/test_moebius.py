@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from heckelab.moebius import (
     RatMatrix,
     act,
     classify,
+    factor,
     fixed_point,
     fraction_str,
     parse_matrix,
@@ -155,6 +157,35 @@ def test_classify_conjugation_sign_invariance():
         scaled = classify(g.scale(lam))
         if base.kind in (ElementKind.ELLIPTIC, ElementKind.HYPERBOLIC):
             assert scaled.kind is base.kind  # disc scales by lam^2, sign survives
+
+
+M127 = 2 ** 127 - 1  # a prime
+
+
+def test_factor_rebuilds_n_from_primes():
+    primes = {p for p in range(2, 10 ** 4 + 1)
+              if all(p % q for q in range(2, int(p ** 0.5) + 1))}
+    for n in range(1, 10 ** 4 + 1):
+        f = factor(n)
+        assert list(f) == sorted(f) and set(f) <= primes, n
+        assert math.prod(p ** e for p, e in f.items()) == n, n
+
+
+def test_factor_refuses_above_its_limit():
+    for n in (M127, 4 * M127):
+        with pytest.raises(ValueError, match="FACTOR_LIMIT"):
+            factor(n)
+    assert factor(10 ** 12 + 39) == {10 ** 12 + 39: 1}  # a prime
+    assert factor(2 ** 40 * 999983) == {2: 40, 999983: 1}
+    with pytest.raises(ValueError):
+        factor(0)
+
+
+def test_squarefree_decompose_brute_force():
+    for n in range(1, 2001):
+        m = max(k for k in range(1, n + 1) if n % (k * k) == 0)
+        assert squarefree_decompose(n) == (m, n // (m * m)), n
+        assert squarefree_decompose(-n) == (m, -n // (m * m)), n
 
 
 @given(st.integers(min_value=-10000, max_value=10000).filter(lambda n: n != 0))
