@@ -2,8 +2,8 @@
 
 The package is organized around finite, checkable shadows of modular
 curve arithmetic: exact GL2(Q)+ actions on the upper half-plane and CM
-points (moebius), congruence subgroup enumeration and indices
-(congruence), Hecke coset decompositions and modular polynomials
+points (moebius), finite congruence quotients SL2(Z/N) and subgroup
+orders (congruence), Hecke coset decompositions and modular polynomials
 (hecke), certified q-series evaluation of j (jfunction), seeded axiom
 checks (axioms), Frobenius sampling and mod-p image certificates
 (galois), orbit/index reports (typecount), and a JSON batch CLI (cli).
@@ -13,19 +13,9 @@ from .axioms import AxiomReport, check_mod1, check_mod2, check_sf, check_sp
 from .congruence import (
     CosetSpace,
     FiniteMatrixGroup,
-    GroupDescriptor,
     Subgroup,
     closure,
-    compatibility_divisor,
     enumerate_sl2,
-    image_at_level,
-    index,
-    is_normal,
-    lift_to_sl2z,
-    membership,
-    normal_core,
-    parse_group,
-    required_level,
     sl2_order,
     subgroup_order,
 )
@@ -35,7 +25,6 @@ from .errors import (
     EvidenceInsufficient,
     HeckeLabError,
     IllConditioned,
-    IncompatibleLevel,
     LevelTooLarge,
     NoConvergence,
     NotElliptic,
@@ -43,7 +32,6 @@ from .errors import (
     NotSubdirect,
     OrderAmbiguous,
     PrecisionExhausted,
-    PrecisionInsufficient,
 )
 from .galois import (
     EllipticCurve,
@@ -85,14 +73,12 @@ from .moebius import (
     ElementKind,
     NumericPoint,
     RatMatrix,
-    StabilizerReport,
     act,
     classify,
     fixed_point,
     parse_matrix,
     special_witness,
     squarefree_decompose,
-    stabilizer_is_trivial,
 )
 from .typecount import (
     TypeCountReport,

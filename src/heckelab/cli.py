@@ -24,7 +24,6 @@ from .errors import (
     BadReduction,
     EvidenceInsufficient,
     IllConditioned,
-    IncompatibleLevel,
     LevelTooLarge,
     NoConvergence,
     NotElliptic,
@@ -60,8 +59,7 @@ OK, FAIL, USAGE, INCONCLUSIVE = 0, 1, 2, 3
 MAX_PRECISION_BITS = 1 << 16
 
 _USAGE_ERRORS = (ValueError, NotSquarefree, LevelTooLarge, BadDeterminant,
-                 BadReduction, NotElliptic, IncompatibleLevel,
-                 json.JSONDecodeError)
+                 BadReduction, NotElliptic, json.JSONDecodeError)
 _INCONCLUSIVE_ERRORS = (PrecisionExhausted, NoConvergence, IllConditioned,
                         EvidenceInsufficient, OrderAmbiguous)
 

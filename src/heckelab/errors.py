@@ -9,20 +9,12 @@ class NotElliptic(HeckeLabError):
     """Matrix has no unique fixed point in the upper half-plane."""
 
 
-class PrecisionInsufficient(HeckeLabError):
-    """A numeric test landed in the ambiguous zone between tol/10 and tol."""
-
-
 class PrecisionExhausted(HeckeLabError):
     """q-series depth or float precision too small to certify a result."""
 
 
 class LevelTooLarge(HeckeLabError):
     """Requested level exceeds the configured enumeration bound."""
-
-
-class IncompatibleLevel(HeckeLabError):
-    """Level is not a multiple of the level forced by the group data."""
 
 
 class BadDeterminant(HeckeLabError):

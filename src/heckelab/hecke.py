@@ -21,16 +21,12 @@ from types import MappingProxyType
 import mpmath
 
 from .errors import IllConditioned, NotSquarefree, PrecisionExhausted
-from .moebius import RatMatrix, factor
+from .moebius import RatMatrix, factor, is_squarefree
 from .qexp import j_power_coefficients, series_mul
 
 # positive q-exponents beyond the pole on which every peeled remainder of a
 # Y-coefficient is checked to vanish
 _CHECK_TERMS = 12
-
-
-def is_squarefree(n: int) -> bool:
-    return n >= 1 and all(e == 1 for e in factor(n).values())
 
 
 def psi(n: int) -> int:

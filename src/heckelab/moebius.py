@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import enum
 import re as _re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 import mpmath
 
-from .errors import NotElliptic, PrecisionInsufficient
+from .errors import NotElliptic
 
 _FRAC_RE = _re.compile(r"-?\d+(?:/\d+)?")
 FACTOR_LIMIT = 10**6
@@ -59,6 +60,13 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
         m *= p ** (e // 2)
         d *= p ** (e % 2)
     return m, d if n > 0 else -d
+
+
+@lru_cache(maxsize=256)
+def is_squarefree(n: int) -> bool:
+    """True iff n >= 1 has no square factor.  Cached, because `act` on a
+    CMPoint builds a new point with the same D at every step."""
+    return n >= 1 and all(e == 1 for e in factor(n).values())
 
 
 def _frac(x) -> Fraction:
@@ -189,8 +197,7 @@ class CMPoint:
         object.__setattr__(self, "y", _frac(self.y))
         if self.D >= 0:
             raise ValueError("D must be negative")
-        m, d = squarefree_decompose(self.D)
-        if m != 1:
+        if not is_squarefree(-self.D):
             raise ValueError(f"D={self.D} is not squarefree")
         if self.y <= 0:
             raise ValueError("point must lie in the upper half-plane (y > 0)")
@@ -316,44 +323,3 @@ def special_witness(tau: CMPoint) -> RatMatrix:
     ints = [0, int(-C * den), den, int(B * den)]
     g = gcd(*ints)
     return RatMatrix(*(v // g for v in ints))
-
-
-@dataclass(frozen=True)
-class StabilizerEntry:
-    matrix: RatMatrix
-    scalar: bool
-    displacement: float | None
-    moved: bool | None
-
-
-@dataclass(frozen=True)
-class StabilizerReport:
-    tol: float
-    entries: tuple[StabilizerEntry, ...] = field(default_factory=tuple)
-
-    @property
-    def all_nonscalar_moved(self) -> bool:
-        return all(e.moved for e in self.entries if not e.scalar)
-
-
-def stabilizer_is_trivial(tau: NumericPoint, gs, tol: float = 1e-9) -> StabilizerReport:
-    """Report, for each non-scalar g in gs, whether |g.tau - tau| > tol.
-
-    Scalars are skipped (they fix everything).  Displacements inside
-    [tol/10, tol] are refused with PrecisionInsufficient rather than being
-    silently resolved either way.
-    """
-    entries = []
-    with mpmath.workprec(tau.prec_bits + 20):
-        z = tau.value()
-        for g in gs:
-            if classify(g).kind is ElementKind.SCALAR:
-                entries.append(StabilizerEntry(g, True, None, None))
-                continue
-            delta = float(abs(act(g, tau).value() - z))
-            if tol / 10 <= delta <= tol:
-                raise PrecisionInsufficient(
-                    f"|g.tau - tau| = {delta} inside the ambiguous band [{tol/10}, {tol}]"
-                )
-            entries.append(StabilizerEntry(g, False, delta, delta > tol))
-    return StabilizerReport(tol, tuple(entries))

@@ -2,12 +2,12 @@ import math
 import random
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckelab.errors import NotElliptic, PrecisionInsufficient
+from heckelab import moebius
+from heckelab.errors import NotElliptic
 from heckelab.moebius import (
     CMPoint,
     ElementKind,
@@ -21,7 +21,6 @@ from heckelab.moebius import (
     parse_matrix,
     special_witness,
     squarefree_decompose,
-    stabilizer_is_trivial,
 )
 
 I_PT = CMPoint(-1, 0, 1)
@@ -210,35 +209,6 @@ def test_normalized_preserves_action(a, b, c, d):
     assert act(n, ZETA_PT) == act(g, ZETA_PT)
 
 
-def test_stabilizer_report_generic_point():
-    tau = NumericPoint(0.3, 1.7)
-    rep = stabilizer_is_trivial(tau, [S, T], tol=1e-9)
-    assert rep.all_nonscalar_moved
-    assert all(e.displacement > 1e-3 for e in rep.entries)
-
-
-def test_stabilizer_report_fixed_point_flagged():
-    tau = NumericPoint(0.0, 1.0)
-    rep = stabilizer_is_trivial(tau, [S], tol=1e-9)
-    assert not rep.all_nonscalar_moved
-    assert rep.entries[0].moved is False
-
-
-def test_stabilizer_scalar_skipped():
-    tau = NumericPoint(0.25, 0.8)
-    rep = stabilizer_is_trivial(tau, [RatMatrix.identity(), RatMatrix(2, 0, 0, 2)], tol=1e-9)
-    assert rep.entries[0].scalar and rep.entries[1].scalar
-    assert rep.all_nonscalar_moved  # vacuously
-
-
-def test_stabilizer_ambiguous_band_raises():
-    # near i the inversion moves tau by about 2|tau - i|
-    eps = mpmath.mpf("1e-9")
-    tau = NumericPoint(0.0, 1.0 + eps, prec_bits=128)
-    with pytest.raises(PrecisionInsufficient):
-        stabilizer_is_trivial(tau, [S], tol=1e-8)
-
-
 def test_matrix_parse_round_trip():
     for s in ["[[0,-1],[1,0]]", "[[1,-1/2],[0,1]]", "[[2,0],[0,1]]"]:
         assert str(parse_matrix(s)) == s
@@ -261,6 +231,24 @@ def test_cmpoint_validation():
     with pytest.raises(ValueError):
         CMPoint(-1, 0, -1)  # lower half-plane
     assert I_PT.to_dict() == {"D": -1, "x": "0", "y": "1"}
+
+
+def test_cmpoint_factors_each_d_once(monkeypatch):
+    # act builds a new point with the same D at every step; D is a prime
+    # near 10^12, whose trial division is the cost of a construction
+    calls = []
+
+    def spy(n):
+        calls.append(n)
+        return factor(n)
+
+    monkeypatch.setattr(moebius, "factor", spy)
+    D = -(10 ** 12 + 39)  # no other test builds a point with this D
+    tau = CMPoint(D, 0, 1)
+    for _ in range(10):
+        tau = act(T, tau)
+    assert calls == [-D]
+    assert tau == CMPoint(D, 10, 1)
 
 
 def test_ratmatrix_validation():
