@@ -2,23 +2,16 @@
 
 The package is organized around finite, checkable shadows of modular
 curve arithmetic: exact GL2(Q)+ actions on the upper half-plane and CM
-points (moebius), finite congruence quotients SL2(Z/N) and subgroup
-orders (congruence), Hecke coset decompositions and modular polynomials
+points (moebius), orders of subgroups of SL2(Z/N) from their generators
+(congruence), Hecke coset decompositions and modular polynomials
 (hecke), certified q-series evaluation of j (jfunction), seeded axiom
-checks (axioms), Frobenius sampling and mod-p image certificates
-(galois), orbit/index reports (typecount), and a JSON batch CLI (cli).
+checks (axioms), Frobenius sampling, mod-p image certificates and the
+lifting check mod p^2 (galois), index reports (typecount), and a JSON
+batch CLI (cli).
 """
 
 from .axioms import AxiomReport, check_mod1, check_mod2, check_sf, check_sp
-from .congruence import (
-    CosetSpace,
-    FiniteMatrixGroup,
-    Subgroup,
-    closure,
-    enumerate_sl2,
-    sl2_order,
-    subgroup_order,
-)
+from .congruence import closure, sl2_order, subgroup_order
 from .errors import (
     BadDeterminant,
     BadReduction,
@@ -29,7 +22,6 @@ from .errors import (
     NoConvergence,
     NotElliptic,
     NotSquarefree,
-    NotSubdirect,
     OrderAmbiguous,
     PrecisionExhausted,
 )
@@ -37,14 +29,12 @@ from .galois import (
     EllipticCurve,
     FrobeniusSample,
     GoursatCertificate,
-    GoursatDecomposition,
     ImageCertificate,
     LiftingReport,
     certify_goursat_pair,
     certify_mod_p_image,
     count_points,
     frobenius_sample,
-    goursat_decompose,
     lifting_check,
     parse_curve,
     standard_lifts,
@@ -80,11 +70,6 @@ from .moebius import (
     special_witness,
     squarefree_decompose,
 )
-from .typecount import (
-    TypeCountReport,
-    count_orbits,
-    regular_space,
-    type_count_report,
-)
+from .typecount import TypeCountReport, type_count_report
 
 __version__ = "0.1.0"

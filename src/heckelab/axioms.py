@@ -154,7 +154,7 @@ def check_sf(N: int) -> AxiomReport:
     transitive iff `subgroup_order` of S and T equals the order formula
     `sl2_order(N)`; a fail carries the order found."""
     if N > MAX_LEVEL:
-        raise LevelTooLarge(f"N={N} exceeds the scan bound {MAX_LEVEL}")
+        raise LevelTooLarge(f"N={N} exceeds the level bound {MAX_LEVEL}")
     order = subgroup_order([(0, -1, 1, 0), (1, 1, 0, 1)], N)
     ambient = sl2_order(N)
     verdict = "pass" if order == ambient else "fail"

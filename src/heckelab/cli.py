@@ -336,7 +336,7 @@ def _run_types(args):
         raise ValueError("--gens and --curve are mutually exclusive")
     if args.gens is not None:
         if args.level > MAX_LEVEL:
-            raise LevelTooLarge(f"N={args.level} exceeds the scan bound "
+            raise LevelTooLarge(f"N={args.level} exceeds the level bound "
                                 f"{MAX_LEVEL}")
         subject = _parse_gens(args.gens)
     elif len(args.curve) == 1:

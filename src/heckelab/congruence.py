@@ -1,54 +1,24 @@
 """Finite congruence quotients SL2(Z/N) and their subgroups.
 
 A subgroup is given by generators, as residue 4-tuples (a, b, c, d) of
-determinant 1 mod N.  `subgroup_order` finds its order by Schreier-Sims
-over the chain of congruence kernels, one prime of N per layer, without
-listing the subgroup; `closure` lists it where the elements themselves
-are needed.  Neither enumerates SL2(Z/N).  An index is |SL2(Z/N)| over
-an order from the chain: Gamma0(N) mod N is generated by T and
-diag(u, u^-1) over the units u, Gamma1(N) mod N by T alone.
-`enumerate_sl2` lists all of SL2(Z/N) for N up to MAX_LEVEL, where a
-`CosetSpace` needs every element.
+determinant 1 mod N.  `subgroup_order` is the one finite-group kernel: it
+finds the order by Schreier-Sims over the chain of congruence kernels,
+one prime of N per layer, without listing the subgroup.  `closure` lists
+it, as the reference the kernel is tested against.  Neither enumerates
+SL2(Z/N), whose order comes from the formula in `sl2_order`.  An index
+is |SL2(Z/N)| over an order from the chain: Gamma0(N) mod N is generated
+by T and diag(u, u^-1) over the units u, Gamma1(N) mod N by T alone.
 """
 
 from __future__ import annotations
 
-from math import gcd, prod
+from math import prod
 
-from .errors import LevelTooLarge
 from .moebius import factor
 
+# the largest level `types --gens` and `axiom sf` accept (exit 2 above
+# it); neither `subgroup_order` nor `closure` has a bound of its own
 MAX_LEVEL = 30
-
-
-class FiniteMatrixGroup:
-    """All of SL2(Z/N), elements stored as (a,b,c,d) tuples of residues."""
-
-    def __init__(self, N: int, elements):
-        self.N = N
-        self.elements = tuple(sorted(elements))
-        self._set = frozenset(self.elements)
-        self.identity = tuple(v % N for v in (1, 0, 0, 1))
-
-    def __contains__(self, m):
-        return m in self._set
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def mul(self, m1, m2):
-        N = self.N
-        a1, b1, c1, d1 = m1
-        a2, b2, c2, d2 = m2
-        return (
-            (a1 * a2 + b1 * c2) % N,
-            (a1 * b2 + b1 * d2) % N,
-            (c1 * a2 + d1 * c2) % N,
-            (c1 * b2 + d1 * d2) % N,
-        )
 
 
 def sl2_order(N: int) -> int:
@@ -59,33 +29,13 @@ def sl2_order(N: int) -> int:
     return order
 
 
-def enumerate_sl2(N: int) -> FiniteMatrixGroup:
-    """Scan (a,b,c) and solve a*d = 1 + b*c mod N for d."""
-    if N > MAX_LEVEL:
-        raise LevelTooLarge(f"N={N} exceeds the scan bound {MAX_LEVEL}")
-    if N < 1:
-        raise ValueError("N must be positive")
-    elements = []
-    for a in range(N):
-        for b in range(N):
-            for c in range(N):
-                m = (1 + b * c) % N
-                g = gcd(a, N)  # N when a = 0
-                if m % g:
-                    continue
-                Ng = N // g
-                d0 = (pow(a // g, -1, Ng) * (m // g)) % Ng if Ng > 1 else 0
-                elements.extend((a, b, c, d0 + k * Ng) for k in range(g))
-    return FiniteMatrixGroup(N, elements)
-
-
 def closure(gens, N: int) -> set:
     """The subgroup of SL2(Z/N) generated by gens, as residue 4-tuples.
 
     Depth-first from the identity under right multiplication by the
     generators; in a finite group the monoid they generate is the group,
-    so no inverses are needed.  Nothing enumerates SL2(Z/N), so N may
-    exceed MAX_LEVEL.  The product is written out for speed.
+    so no inverses are needed.  The cost grows with |H|, not with N, and
+    N has no bound.  The product is written out for speed.
     """
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
@@ -180,43 +130,12 @@ def subgroup_order(gens, N: int) -> int:
     return prod(len(T) for T in trans)
 
 
-class CosetSpace:
-    """Left-translation action of a matrix group on cosets g*K, with
-    minimum-of-coset canonical representatives."""
-
-    def __init__(self, fmg, stabilizer=None):
-        self.fmg = fmg
-        k = tuple(stabilizer) if stabilizer is not None else (fmg.identity,)
-        self.rep_of = {g: min(fmg.mul(g, s) for s in k) for g in fmg.elements}
-        self.points = tuple(sorted(set(self.rep_of.values())))
-
-    def act(self, h, x):
-        return self.rep_of[self.fmg.mul(h, x)]
-
-
 class Subgroup:
-    """Enumerated subgroup of a FiniteMatrixGroup."""
-
-    def __init__(self, parent: FiniteMatrixGroup, elements, generators=()):
-        self.parent = parent
-        self.elements = frozenset(elements)
-        self.generators = tuple(generators)
-        if parent.identity not in self.elements:
-            raise ValueError("subgroup must contain the identity")
+    """A name for the perfbench tracer, which wraps `Subgroup.generated`
+    by name; no command calls it.  It goes when the tracer drops that
+    hook."""
 
     @classmethod
-    def generated(cls, parent: FiniteMatrixGroup, generators):
-        gens = [tuple(v % parent.N for v in g) for g in generators]
-        return cls(parent, closure(gens, parent.N), gens)
-
-    def __contains__(self, m):
-        return m in self.elements
-
-    def __len__(self):
-        return len(self.elements)
-
-
-def parent_generators(fmg: FiniteMatrixGroup):
-    """S and T reduced mod N; they generate the whole quotient."""
-    N = fmg.N
-    return [(0, (-1) % N, 1 % N, 0), (1 % N, 1 % N, 0, 1 % N)]
+    def generated(cls, N: int, gens) -> frozenset:
+        """The subgroup of SL2(Z/N) generated by gens, from `closure`."""
+        return frozenset(closure(gens, N))

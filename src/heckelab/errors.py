@@ -14,7 +14,7 @@ class PrecisionExhausted(HeckeLabError):
 
 
 class LevelTooLarge(HeckeLabError):
-    """Requested level exceeds the configured enumeration bound."""
+    """Requested level exceeds the bound `congruence.MAX_LEVEL`."""
 
 
 class BadDeterminant(HeckeLabError):
@@ -35,10 +35,6 @@ class NoConvergence(HeckeLabError):
 
 class BadReduction(HeckeLabError):
     """Prime of bad reduction passed to a point-counting routine."""
-
-
-class NotSubdirect(HeckeLabError):
-    """Goursat analysis requires surjection onto both factors."""
 
 
 class EvidenceInsufficient(HeckeLabError):

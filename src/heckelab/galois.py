@@ -17,9 +17,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isqrt
 
-from .congruence import (CosetSpace, closure, parent_generators, sl2_order,
-                          subgroup_order)
-from .errors import BadDeterminant, BadReduction, NotSubdirect, OrderAmbiguous
+from .congruence import sl2_order, subgroup_order
+from .errors import BadDeterminant, BadReduction, OrderAmbiguous
 
 EXHAUSTIVE_LIMIT = 10 ** 5
 BSGS_LIMIT = 10 ** 7
@@ -548,9 +547,7 @@ def certify_goursat_pair(curve1: EllipticCurve, curve2: EllipticCurve,
 # -- lifting mod p^2 --------------------------------------------------------
 
 def _flatten(mat, m):
-    if hasattr(mat, "entries"):
-        vals = mat.entries()
-    elif len(mat) == 2:
+    if len(mat) == 2:
         vals = (mat[0][0], mat[0][1], mat[1][0], mat[1][1])
     else:
         vals = tuple(mat)
@@ -593,70 +590,3 @@ def lifting_check(p: int, generators) -> LiftingReport:
     order = subgroup_order(gens, m)
     return LiftingReport(p, order, order == sl2_order(m),
                          subgroup_order(gens, p) == sl2_order(p))
-
-
-# -- Goursat decomposition of explicit subdirect products -------------------
-
-@dataclass(frozen=True)
-class GoursatDecomposition:
-    kind: str  # "full" or "graph"
-    n1: tuple
-    n2: tuple
-    quotient_order: int
-    iso: dict  # coset representative of G1/N1 -> representative of G2/N2
-
-    def to_dict(self):
-        return {"kind": self.kind, "n1_order": len(self.n1),
-                "n2_order": len(self.n2),
-                "quotient_order": self.quotient_order}
-
-
-def goursat_decompose(pairs, fmg1, fmg2) -> GoursatDecomposition:
-    """Decompose a subgroup H of G1 x G2 given as explicit pairs.
-
-    Returns the full product, or the kernels N1 = ker(pi2|H),
-    N2 = ker(pi1|H) together with the graph isomorphism G1/N1 = G2/N2.
-    Raises NotSubdirect when a projection misses part of a factor, and
-    ValueError when H is not a subgroup.
-    """
-    H = set(pairs)
-    g1_all = set(fmg1.elements)
-    g2_all = set(fmg2.elements)
-    if {a for a, _ in H} != g1_all or {b for _, b in H} != g2_all:
-        raise NotSubdirect("projections of H do not cover both factors")
-    e1 = fmg1.identity
-    e2 = fmg2.identity
-    n1 = frozenset(a for a, b in H if b == e2)
-    n2 = frozenset(b for a, b in H if a == e1)
-    _check_subgroup(H, fmg1, fmg2, n2)
-    if len(n1) == len(g1_all) and len(n2) == len(g2_all):
-        return GoursatDecomposition("full", tuple(sorted(n1)),
-                                    tuple(sorted(n2)),
-                                    1, {})
-    coset1 = CosetSpace(fmg1, n1).rep_of
-    coset2 = CosetSpace(fmg2, n2).rep_of
-    iso = {coset1[a]: coset2[b] for a, b in H}
-    return GoursatDecomposition("graph", tuple(sorted(n1)), tuple(sorted(n2)),
-                                len(iso), iso)
-
-
-def _check_subgroup(H, fmg1, fmg2, n2):
-    """Raise ValueError unless the subdirect set H is a subgroup.
-
-    K holds a pair over each of S and T mod M1 and (e1, n) for generators
-    n of N2.  If H holds the identity and H * K is inside H, then <K> is
-    inside H; <K> maps onto G1 with kernel {e1} x N2, so every coset h<K>
-    meets {e1} x N2, which lies in <K>, and H = <K> is a group."""
-    e1 = fmg1.identity
-    gens2, grown = [], {fmg2.identity}
-    for n in sorted(n2):
-        if n not in grown:
-            gens2.append(n)
-            grown = closure(gens2, fmg2.N)
-    over = dict(H)
-    K = ([(s, over[s]) for s in parent_generators(fmg1)]
-         + [(e1, n) for n in gens2])
-    if (e1, fmg2.identity) not in H or any(
-            (fmg1.mul(a, c), fmg2.mul(b, d)) not in H
-            for a, b in H for c, d in K):
-        raise ValueError("H is not a subgroup of G1 x G2")

@@ -40,7 +40,6 @@ def psi(n: int) -> int:
 class CosetDecomposition:
     n: int
     reps: tuple[RatMatrix, ...]
-    notes: str = "standard upper-triangular representatives"
 
 
 def double_coset_reps(n: int) -> CosetDecomposition:

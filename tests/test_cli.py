@@ -226,7 +226,7 @@ def test_axiom_sf(capsys):
     assert cli.main(["axiom", "sf", "--N", "31"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "exceeds the scan bound 30" in captured.err
+    assert "exceeds the level bound 30" in captured.err
 
 
 @pytest.mark.parametrize("N", ["0", "-3"])
@@ -338,7 +338,7 @@ def test_types_gens_level_above_scan_bound(capsys):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "exceeds the scan bound 30" in captured.err
+    assert "exceeds the level bound 30" in captured.err
 
 
 @pytest.mark.parametrize("n", [4, 12])
@@ -347,22 +347,6 @@ def test_modpoly_not_squarefree_says_so(n, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: n={n} is not squarefree\n"
-
-
-def test_closures_never_enumerate_sl2(monkeypatch, capsys):
-    from heckelab import axioms, congruence, typecount
-
-    def spy(*args, **kwargs):
-        raise AssertionError("enumerate_sl2 called")
-    for module in (congruence, cli, typecount, axioms):
-        monkeypatch.setattr(module, "enumerate_sl2", spy, raising=False)
-    assert run(capsys, ["lifting", "--p", "7"])[0] == 0
-    code, doc = run(capsys, ["types", "--gens",
-                             "[[[1,1],[0,1]],[[1,0],[1,1]]]", "--level", "30"])
-    assert code == 0
-    assert doc["report"]["index"] == 1
-    code, doc = run(capsys, ["axiom", "sf", "--N", "12"])
-    assert code == 0 and doc["report"]["trials"] == 1152
 
 
 def test_types_and_lifting_never_close_at_the_full_level(monkeypatch,
@@ -383,10 +367,10 @@ def test_types_and_lifting_never_close_at_the_full_level(monkeypatch,
     assert code == 0 and doc["report"]["order"] == sl2_order(169)
     code, doc = run(capsys, ["axiom", "sf", "--N", "12"])
     assert code == 0 and doc["report"]["verdict"] == "pass"
+    assert doc["report"]["trials"] == 1152
     assert moduli == []
     # positive control: Subgroup.generated closes through the same spy
-    fmg = congruence.enumerate_sl2(6)
-    congruence.Subgroup.generated(fmg, congruence.parent_generators(fmg))
+    congruence.Subgroup.generated(6, [(0, -1, 1, 0), (1, 1, 0, 1)])
     assert moduli == [6]
 
 

@@ -5,11 +5,10 @@ from math import gcd, isqrt
 import pytest
 
 from heckelab import galois
-from heckelab.congruence import closure, enumerate_sl2, sl2_order
+from heckelab.congruence import closure, sl2_order
 from heckelab.errors import (
     BadDeterminant,
     BadReduction,
-    NotSubdirect,
     OrderAmbiguous,
 )
 from heckelab.galois import (
@@ -21,7 +20,6 @@ from heckelab.galois import (
     count_points,
     excludes_class,
     frobenius_sample,
-    goursat_decompose,
     lifting_check,
     parse_curve,
     primes_upto,
@@ -602,56 +600,3 @@ def test_lifting_full_when_reduction_generates(p):
             assert not (rep.full or rep.generates_mod_p)
     assert onto >= 5
 
-
-def test_goursat_decompose_diagonal():
-    fmg = enumerate_sl2(5)
-    dec = goursat_decompose([(g, g) for g in fmg.elements], fmg, fmg)
-    assert dec.kind == "graph"
-    assert len(dec.n1) == 1 and len(dec.n2) == 1
-    assert dec.quotient_order == 120
-    assert all(dec.iso[c] == c for c in dec.iso)
-
-
-def test_goursat_decompose_full():
-    fmg = enumerate_sl2(5)
-    dec = goursat_decompose(itertools.product(fmg.elements, fmg.elements),
-                            fmg, fmg)
-    assert dec.kind == "full"
-    assert len(dec.n1) == 120 and len(dec.n2) == 120
-
-
-def test_goursat_decompose_pm_graph():
-    fmg = enumerate_sl2(5)
-    neg = (4, 0, 0, 4)
-    pairs = {(g, h) for g in fmg.elements for h in (g, fmg.mul(neg, g))}
-    dec = goursat_decompose(pairs, fmg, fmg)
-    assert dec.kind == "graph"
-    assert set(dec.n1) == {fmg.identity, neg}
-    assert set(dec.n2) == {fmg.identity, neg}
-    assert dec.quotient_order == 60
-    assert len(dec.n1) * len(dec.n2) * dec.quotient_order == len(pairs)
-
-
-def test_goursat_decompose_not_subdirect():
-    fmg = enumerate_sl2(5)
-    with pytest.raises(NotSubdirect):
-        goursat_decompose([(g, fmg.identity) for g in fmg.elements], fmg, fmg)
-
-
-def test_goursat_decompose_rejects_a_graph_that_is_not_a_subgroup():
-    # the identity map with two images swapped is a bijection onto G2 but
-    # not a homomorphism; a sampled product check let such sets through
-    fmg = enumerate_sl2(30)
-    x, y = (0, 7, 17, 29), (29, 28, 1, 1)
-    swap = {x: y, y: x}
-    with pytest.raises(ValueError, match="not a subgroup"):
-        goursat_decompose([(g, swap.get(g, g)) for g in fmg.elements],
-                          fmg, fmg)
-
-
-def test_mixed_level_decompose():
-    f2, f3 = enumerate_sl2(2), enumerate_sl2(3)
-    dec = goursat_decompose(itertools.product(f2.elements, f3.elements),
-                            f2, f3)
-    assert dec.kind == "full"
-    assert len(dec.n1) == 6 and len(dec.n2) == 24

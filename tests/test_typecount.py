@@ -2,75 +2,49 @@ import random
 
 import pytest
 
-from heckelab.congruence import (
-    Subgroup,
-    closure,
-    enumerate_sl2,
-    sl2_order,
-    subgroup_order,
-)
+from heckelab.congruence import closure, sl2_order, subgroup_order
 from heckelab.errors import EvidenceInsufficient
 from heckelab.galois import parse_curve
-from heckelab.typecount import (
-    _CONSISTENT_ORDER,
-    CosetSpace,
-    count_orbits,
-    regular_space,
-    type_count_report,
-)
+from heckelab.typecount import _CONSISTENT_ORDER, type_count_report
 
 E_11A3 = parse_curve("[0,-1,1,0,0]")
 E_37A1 = parse_curve("[0,0,1,-1,0]")
 
-FMG5 = enumerate_sl2(5)
-BOREL5 = tuple(g for g in FMG5.elements if g[2] == 0)
+S, T = (0, -1, 1, 0), (1, 1, 0, 1)
 
 
-def test_regular_space_points():
-    space = regular_space(5)
-    assert space.points == tuple(sorted(FMG5.elements))
-    assert len(space.points) == 120
+def _sl2(N):
+    """All of SL2(Z/N), listed by closing S and T, sorted."""
+    return sorted(closure([S, T], N))
 
 
-def test_full_group_one_orbit():
-    assert count_orbits(FMG5.elements, regular_space(5)) == 1
-
-
-def test_trivial_group_regular_orbits():
-    assert count_orbits([FMG5.identity], regular_space(5)) == 120
-    f2 = enumerate_sl2(2)
-    assert count_orbits([f2.identity], CosetSpace(f2)) == 6
-
-
-def test_borel_on_projective_line():
-    # cosets of the Borel form the 6-point projective line; the Borel
-    # fixes its own coset and permutes the remaining 5 transitively
-    space = CosetSpace(FMG5, BOREL5)
-    assert len(space.points) == 6
-    assert count_orbits(BOREL5, space) == 2
+SL2_5 = _sl2(5)
+BOREL5 = tuple(g for g in SL2_5 if g[2] == 0)
 
 
 def test_orbits_from_generators_only():
+    # generators and the full element list give the same report
     gens = [(1, 1, 0, 1), (2, 0, 0, 3)]
-    full_borel = count_orbits(BOREL5, CosetSpace(FMG5, BOREL5))
-    assert count_orbits(gens, CosetSpace(FMG5, BOREL5)) == full_borel
+    assert len(closure(gens, 5)) == len(BOREL5) == 20
+    assert type_count_report(gens, 5) == type_count_report(BOREL5, 5)
+    assert type_count_report(gens, 5).value == 6  # the points of P^1(F_5)
 
 
 def test_orbit_count_equals_index_random_subgroups():
+    # the kernel chain's index against the listed subgroup
     rng = random.Random(17)
-    space = regular_space(5)
     seen_orders = set()
     for _ in range(20):
         k = rng.choice((1, 2))
-        gens = rng.sample(FMG5.elements, k)
-        sub = Subgroup.generated(FMG5, gens)
-        assert count_orbits(sub.elements, space) == 120 // len(sub)
-        seen_orders.add(len(sub))
+        gens = rng.sample(SL2_5, k)
+        order = len(closure(gens, 5))
+        assert type_count_report(gens, 5).value == 120 // order
+        seen_orders.add(order)
     assert len(seen_orders) > 2
 
 
 def test_explicit_full_subgroup_report():
-    rep = type_count_report(FMG5.elements, 5)
+    rep = type_count_report(SL2_5, 5)
     d = rep.to_dict()
     assert d["index"] == 1
     assert "lower_bound" not in d
@@ -80,15 +54,14 @@ def test_explicit_full_subgroup_report():
 
 
 def test_explicit_trivial_subgroup_report():
-    rep = type_count_report([FMG5.identity], 5)
+    rep = type_count_report([(1, 0, 0, 1)], 5)
     assert rep.value == 120
     assert rep.is_lower_bound is False
     assert rep.to_dict()["index"] == 120
 
 
 def test_explicit_gamma0_level_tower():
-    f6 = enumerate_sl2(6)
-    h = [g for g in f6.elements if g[2] % 6 == 0]
+    h = [g for g in _sl2(6) if g[2] % 6 == 0]
     rep = type_count_report(h, 6)
     assert rep.to_dict()["index"] == 12
     assert rep.orbit_counts_by_level == ((1, 1), (2, 3), (3, 4), (6, 12))
@@ -98,10 +71,10 @@ def test_explicit_gamma0_level_tower():
 def test_level_counts_never_decrease_along_chains():
     # comparable levels are the nested ones: d dividing d'
     rng = random.Random(3)
-    f6 = enumerate_sl2(6)
+    f6 = _sl2(6)
     for _ in range(5):
-        sub = Subgroup.generated(f6, rng.sample(f6.elements, 2))
-        rows = type_count_report(sub.elements, 6).orbit_counts_by_level
+        sub = closure(rng.sample(f6, 2), 6)
+        rows = type_count_report(sub, 6).orbit_counts_by_level
         for da, ca in rows:
             for db, cb in rows:
                 if db % da == 0:
@@ -230,7 +203,7 @@ def test_exceptional_order_rule_matches_a_subgroup_search(p):
     assert _pow_mod(s, 3, p) == minus
     largest = 0
     for n, order in ((3, 24), (4, 48), (5, 120)):
-        for t in enumerate_sl2(p).elements:
+        for t in _sl2(p):
             if (_pow_mod(t, n, p) == minus
                     and _pow_mod(_mul_mod(s, t, p), 2, p) == minus):
                 assert subgroup_order([s, t], p) == order
