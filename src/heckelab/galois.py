@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import isqrt
+from math import isqrt, lcm, prod
 
 from .congruence import sl2_order, subgroup_order
 from .errors import BadDeterminant, BadReduction, OrderAmbiguous
@@ -24,11 +24,11 @@ EXHAUSTIVE_LIMIT = 10 ** 5
 BSGS_LIMIT = 10 ** 7
 # "auto" counts exhaustively below this prime and by BSGS from it on: per
 # prime (tools/bench_count.py; CPython 3.11, 2-core x86-64 VM) bsgs costs
-# 1.1-1.2 times the exhaustive sum in [110, 150), the same (31 us) in
-# [150, 190) and 0.73 of it in [190, 210); counts are exact either way.
+# 1.07-1.12 times the exhaustive sum in [80, 100), 0.95-0.97 in [100, 120)
+# (about 19 us) and 0.80-0.94 in [120, 150); counts are exact either way.
 # Above 229, E or its twist has points that pin a_ell (Mestre); on 80
 # seeded curves bsgs fell back to the exhaustive sum only at ell <= 23.
-BSGS_CUTOFF = 150
+BSGS_CUTOFF = 100
 CERTIFIABLE_PRIMES = (5, 7, 11, 13)
 
 
@@ -44,6 +44,17 @@ def primes_upto(bound):
     return [i for i, f in enumerate(flags) if f]
 
 
+def _invariants(a1, a2, a3, a4, a6):
+    """(c4, c6, discriminant) of a Weierstrass model, in the arithmetic of
+    its coefficients: int for an integral model, Fraction otherwise."""
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    return (b2 * b2 - 24 * b4, -b2 ** 3 + 36 * b2 * b4 - 216 * b6,
+            -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6)
+
+
 @dataclass(frozen=True)
 class EllipticCurve:
     """Long Weierstrass model y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6
@@ -56,40 +67,40 @@ class EllipticCurve:
     a6: Fraction
 
     def __post_init__(self):
-        for name in ("a1", "a2", "a3", "a4", "a6"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if self.discriminant() == 0:
+        coeffs = [Fraction(a) for a in (self.a1, self.a2, self.a3, self.a4,
+                                        self.a6)]
+        for name, a in zip(("a1", "a2", "a3", "a4", "a6"), coeffs):
+            object.__setattr__(self, name, a)
+        if all(a.denominator == 1 for a in coeffs):
+            coeffs = [a.numerator for a in coeffs]
+        c4_c6_disc = _invariants(*coeffs)
+        if c4_c6_disc[2] == 0:
             raise ValueError("singular curve: discriminant is zero")
-
-    def b_invariants(self):
-        b2 = self.a1 * self.a1 + 4 * self.a2
-        b4 = 2 * self.a4 + self.a1 * self.a3
-        b6 = self.a3 * self.a3 + 4 * self.a6
-        b8 = (self.a1 * self.a1 * self.a6 + 4 * self.a2 * self.a6
-              - self.a1 * self.a3 * self.a4 + self.a2 * self.a3 * self.a3
-              - self.a4 * self.a4)
-        return b2, b4, b6, b8
+        object.__setattr__(self, "_c4_c6_disc", c4_c6_disc)
 
     def discriminant(self) -> Fraction:
-        b2, b4, b6, b8 = self.b_invariants()
-        return (-b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6)
+        return Fraction(self._c4_c6_disc[2])
 
     def short_model(self):
         """(A, B) with y^2 = x^3 + A x + B isomorphic to E away from 2, 3."""
-        b2, b4, b6, _ = self.b_invariants()
-        c4 = b2 * b2 - 24 * b4
-        c6 = -b2 ** 3 + 36 * b2 * b4 - 216 * b6
-        return -27 * c4, -54 * c6
+        c4, c6, _ = self._c4_c6_disc
+        return Fraction(-27 * c4), Fraction(-54 * c6)
 
     @cached_property
     def _int_model(self):
-        """(numerator, denominator) of a1..a6 and of the short model (A, B),
-        plus the discriminant's numerator: everything reduction mod ell
-        reads, so the per-prime work is int arithmetic."""
+        """Everything reduction mod ell reads, in ints: the (numerator,
+        denominator) of a1..a6, the product of those denominators, the
+        short model (A u^4, B u^6) with u the least integer making both
+        integral, and the discriminant's numerator.  u divides a power of
+        that product, so the integral short model is isomorphic to E at
+        every prime where the long model is integral."""
         coeffs = tuple((a.numerator, a.denominator) for a in
                        (self.a1, self.a2, self.a3, self.a4, self.a6))
-        short = tuple((v.numerator, v.denominator) for v in self.short_model())
-        return coeffs, short, self.discriminant().numerator
+        A, B = self.short_model()
+        u = lcm(A.denominator, B.denominator)
+        return (coeffs, prod(den for _, den in coeffs),
+                (int(A * u ** 4), int(B * u ** 6)),
+                self.discriminant().numerator)
 
     def __hash__(self):
         return self._hash
@@ -126,18 +137,22 @@ def parse_curve(text: str) -> EllipticCurve:
     return EllipticCurve(*coeffs)
 
 
-def _reduce_coeffs(curve, ell):
-    coeffs, _, disc_num = curve._int_model
-    vals = []
-    for num, den in coeffs:
-        if den % ell == 0:
-            raise BadReduction(f"model not integral at {ell}")
-        vals.append(num * pow(den, -1, ell) % ell)
-    # the discriminant's denominator divides a product of the coefficient
-    # denominators, so it is a unit mod ell once those are
-    if disc_num % ell == 0:
+def _good_model(curve, ell):
+    """The (numerator, denominator) pairs of a1..a6 and the integral short
+    model, once ell is found a prime of good reduction."""
+    coeffs, den, short, disc = curve._int_model
+    if den % ell == 0:
+        raise BadReduction(f"model not integral at {ell}")
+    # the discriminant's denominator divides a power of den, so it is a
+    # unit mod ell once den is
+    if disc % ell == 0:
         raise BadReduction(f"bad reduction at {ell}")
-    return vals
+    return coeffs, short
+
+
+def _reduce_coeffs(curve, ell):
+    return [num * pow(den, -1, ell) % ell
+            for num, den in _good_model(curve, ell)[0]]
 
 
 def _chi(v, ell):
@@ -199,40 +214,20 @@ def _mul(k, P, A, ell):
     return R
 
 
-def _points(A, B, ell):
-    """The affine points of y^2 = x^3 + Ax + B over F_ell, x ascending."""
-    for x in range(ell):
-        v = ((x * x + A) * x + B) % ell
-        if _chi(v, ell) != -1:
-            yield x, _sqrt_mod(v, ell)
+def _stride_mul(n, W, steps, A, ell):
+    """nP, given W = wP and steps[j] = jP for 0 <= j <= m, w = 2m + 1.
 
-
-def _sqrt_mod(v, ell):
-    """Square root mod an odd prime (Tonelli-Shanks)."""
-    v %= ell
-    if v == 0:
-        return 0
-    if ell % 4 == 3:
-        return pow(v, (ell + 1) // 4, ell)
-    # Tonelli-Shanks for ell = 1 mod 4
-    q, s = ell - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while _chi(z, ell) != -1:
-        z += 1
-    m, c = s, pow(z, q, ell)
-    t, r = pow(v, q, ell), pow(v, (q + 1) // 2, ell)
-    while t != 1:
-        t2, i = t, 0
-        while t2 != 1:
-            t2 = t2 * t2 % ell
-            i += 1
-        b = pow(c, 1 << (m - i - 1), ell)
-        m, c = i, b * b % ell
-        t, r = t * c % ell, r * b % ell
-    return r
+    With n = qw + r, nP = qW + rP, and rP is a baby step when r <= m and
+    W minus the baby step (w - r)P otherwise, so the ladder runs over the
+    bits of q, not of n."""
+    w = 2 * len(steps) - 1
+    q, r = divmod(n, w)
+    if r < len(steps):
+        R = steps[r]
+    else:
+        x, y = steps[w - r]
+        R = _add(W, (x, -y % ell), A, ell)
+    return _add(_mul(q, W, A, ell), R, A, ell)
 
 
 def _annihilators(P, A, ell, c, s):
@@ -245,25 +240,28 @@ def _annihilators(P, A, ell, c, s):
     at order 2m, mP has y = 0 and matches both signs."""
     m = isqrt(s) + 1
     baby = {}
+    steps = [None]  # steps[j] = jP
     Q = P
     for j in range(1, m + 1):
         if Q is None or Q[0] in baby:
             # jP = O, or jP = -iP with i < j: P has order j, or i + j
-            order = j if Q is None else baby[Q[0]][0] + j
+            order = j if Q is None else baby[Q[0]] + j
             return range(-s + (c + s) % order, s + 1, order)
-        baby[Q[0]] = j, Q[1]
-        last, Q = Q, _add(Q, P, A, ell)
+        baby[Q[0]] = j
+        steps.append(Q)
+        Q = _add(Q, P, A, ell)
     w = 2 * m + 1
-    W = _add(Q, last, A, ell)  # (m + 1)P + mP
+    W = _add(Q, steps[m], A, ell)  # (m + 1)P + mP
     back = None if W is None else (W[0], -W[1] % ell)
     K = (s + m) // w
-    G = _mul(c + K * w, P, A, ell)
+    G = _stride_mul(c + K * w, W, steps, A, ell)
     found = []
     for t in range(-K * w, K * w + 1, w):
         if G is None:
             found.append(t)
         elif G[0] in baby:
-            j, y = baby[G[0]]
+            j = baby[G[0]]
+            y = steps[j][1]
             if y == G[1]:
                 found.append(t + j)
             if y == -G[1] % ell:
@@ -275,33 +273,34 @@ def _annihilators(P, A, ell, c, s):
 def _count_bsgs(curve, ell):
     """Trace a_ell by the Shanks-Mestre method (Cohen, GTM 138, 7.4).
 
-    Every point P of E has (ell + 1 - a)P = O and every point of a
-    quadratic twist (ell + 1 + a)P = O.  Points of the two, in turn and by
-    ascending x, narrow the a in the Hasse interval down to a_ell.  Falls
-    back to the exhaustive count if ambiguity survives 40 points."""
+    For x with v = x^3 + Ax + B != 0, P = (xv, v^2) lies on
+    Y^2 = X^3 + Av^2 X + Bv^3, which is E when v is a square mod ell and
+    its quadratic twist otherwise, so (ell + 1 - chi(v) a)P = O.  These
+    points, x = 0, 1, 2, ..., narrow the a in the Hasse interval down to
+    a_ell without a square root.  Falls back to the exhaustive count if
+    ambiguity survives 40 points."""
     if ell < 5:
         return _count_exhaustive(curve, ell)
-    _reduce_coeffs(curve, ell)
-    A, B = (num * pow(den, -1, ell) % ell for num, den in curve._int_model[1])
-    d = 2
-    while _chi(d, ell) != -1:
-        d += 1
-    At = A * d * d % ell
-    walks = ((_points(A, B, ell), A, 1),
-             (_points(At, B * d ** 3 % ell, ell), At, -1))
+    A, B = _good_model(curve, ell)[1]
+    A, B = A % ell, B % ell
     c, s = ell + 1, isqrt(4 * ell)
     cands = None
-    for attempt in range(40):
-        points, coef, sign = walks[attempt % 2]
-        P = next(points, None)
-        if P is None:
-            break
-        hits = {sign * a for a in _annihilators(P, coef, ell, c, s)}
+    tried = 0
+    for x in range(ell):
+        v = ((x * x + A) * x + B) % ell
+        if v == 0:
+            continue
+        sign = _chi(v, ell)
+        hits = {sign * a for a in _annihilators(
+            (x * v % ell, v * v % ell), A * v * v % ell, ell, c, s)}
         cands = hits if cands is None else cands & hits
         if len(cands) == 1:
             return cands.pop()
         if not cands:
             raise AssertionError(f"no trace left at {ell}")
+        tried += 1
+        if tried == 40:
+            break
     if ell <= EXHAUSTIVE_LIMIT:
         return _count_exhaustive(curve, ell)
     raise OrderAmbiguous(f"order ambiguity persisted at {ell}")
@@ -311,9 +310,10 @@ def count_points(curve: EllipticCurve, ell: int, method: str = "auto") -> int:
     """Trace of Frobenius a_ell = ell + 1 - #E(F_ell).
 
     method "exhaustive" sums the quadratic character over the x-line
-    (ell <= 1e5); "bsgs" finds a_ell by baby-step giant-step on points of
-    E and of its quadratic twist, taken in order of x (ell <= 1e7), and
-    falls back to the exhaustive sum when the group order stays ambiguous;
+    (ell <= 1e5); "bsgs" finds a_ell by baby-step giant-step on points
+    (xv, v^2), v = x^3 + Ax + B, each on E or its quadratic twist as v is
+    a square or not (ell <= 1e7), and falls back to the exhaustive sum
+    when the group order stays ambiguous;
     "auto" is exhaustive below BSGS_CUTOFF and bsgs from it on.  The two
     methods share no counting code, so each is the other's check.
     """
@@ -455,7 +455,7 @@ def _certify_image(curve, p, bound):
         raise ValueError(f"p must be in {CERTIFIABLE_PRIMES}, got {p}")
     if bound < 10 ** 3:
         raise ValueError(f"bound must be at least 1000, got {bound}")
-    disc = curve.discriminant()
+    disc = curve._c4_c6_disc[2]
     if (disc.numerator * disc.denominator) % p == 0:
         reason = f"p = {p} divides the discriminant"
         return ImageCertificate(p, bound, "Inconclusive", {},

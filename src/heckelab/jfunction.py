@@ -4,7 +4,9 @@ Evaluation reduces the argument to the standard fundamental domain
 (|Re| <= 1/2, |tau| >= 1) by one loop, which moves the point in mpmath and
 keeps gamma as four ints, and sums the integer q-expansion there, where
 |q| <= e^{-pi*sqrt(3)} makes the tail geometric.  The reported error bound
-uses |c_m| <= e^{4*pi*sqrt(m)}, which dominates the true coefficients.
+uses |c_m| <= e^{4*pi*sqrt(m)}, which dominates the true coefficients;
+the series runs to ctx.terms terms, or further, until that bound at the
+largest |q| falls below 2^-prec.
 The head of the series is summed by one Horner kernel in Gaussian fixed
 point (Python ints scaled by 2^bits, after Enge's fixed-point evaluation
 of q-series); at a reduced point it is off by at most 2^(20-bits), and
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, ulp
+from math import exp, floor, log, pi, sqrt, ulp
 
 import mpmath
 
@@ -142,9 +144,22 @@ def _tail_constants(K: int, prec: int) -> tuple:
                 mpmath.exp(4 * mpmath.pi * mpmath.sqrt(K)))
 
 
+def _terms(ctx: QSeriesContext) -> int:
+    """The least K >= ctx.terms whose tail bound at the largest |q| of a
+    reduced point, r = e^{-pi sqrt 3}, is below 2^-prec_bits:
+    e^{4 pi sqrt(K)} r^K / (1 - e^{2 pi / sqrt(K)} r), taken in float logs
+    only to pick the length; the bound j reports is computed exactly."""
+    K = ctx.terms
+    while (4 * pi * sqrt(K) - pi * sqrt(3) * K
+           - log(1 - exp(2 * pi / sqrt(K) - pi * sqrt(3)))
+           >= -ctx.prec_bits * log(2)):
+        K += 1
+    return K
+
+
 def _series_eval(z: mpmath.mpc, ctx: QSeriesContext):
     """(value, tail bound) of the q-expansion at a reduced point."""
-    K = ctx.terms
+    K = _terms(ctx)
     q = mpmath.exp(2j * mpmath.pi * z)
     absq = abs(q)
     ratio, growth = _tail_constants(K, mpmath.mp.prec)

@@ -147,7 +147,7 @@ def test_auto_matches_exhaustive_across_cutoff(monkeypatch):
 
 def _short_models(curves, bound):
     """(A, ell) and the affine points of the short model mod each good ell,
-    5 <= ell < bound, x ascending."""
+    5 <= ell < bound, x ascending, found by scanning every (x, y)."""
     for curve in curves:
         for ell in primes_upto(bound - 1)[2:]:
             try:
@@ -156,7 +156,11 @@ def _short_models(curves, bound):
                 continue
             A, B = (v.numerator * pow(v.denominator, -1, ell) % ell
                     for v in curve.short_model())
-            yield A, ell, galois._points(A, B, ell)
+            roots = {}
+            for y in range(ell):
+                roots.setdefault(y * y % ell, y)
+            yield A, ell, ((x, roots[v]) for x in range(ell)
+                           if (v := (x ** 3 + A * x + B) % ell) in roots)
 
 
 def test_mul_matches_repeated_add():
@@ -206,6 +210,58 @@ def test_bsgs_matches_exhaustive_at_every_ell():
             except BadReduction:
                 continue
             assert count_points(curve, ell, "bsgs") == a, (curve, ell)
+
+
+def test_twist_points_lie_on_the_twist_of_chi_v():
+    # (xv, v^2) is on Y^2 = X^3 + Av^2 X + Bv^3, a curve isomorphic to E
+    # when v is a square and to its quadratic twist otherwise
+    twists = {1: 0, -1: 0}
+    for curve in _seeded_curves(4, 53):
+        for ell in primes_upto(400)[2:]:
+            try:
+                a = count_points(curve, ell, "exhaustive")
+            except BadReduction:
+                continue
+            A, B = (v.numerator * pow(v.denominator, -1, ell) % ell
+                    for v in curve.short_model())
+            counted = set()
+            for x in range(ell):
+                v = (x ** 3 + A * x + B) % ell
+                if v == 0:
+                    continue
+                X, Y = x * v % ell, v * v % ell
+                Av, Bv = A * v * v % ell, B * v ** 3 % ell
+                assert (Y * Y - X ** 3 - Av * X - Bv) % ell == 0
+                chi = 1 if pow(v, (ell - 1) // 2, ell) == 1 else -1
+                if chi not in counted:  # one exhaustive order per sign
+                    counted.add(chi)
+                    twists[chi] += 1
+                    twist = EllipticCurve(0, 0, 0, Av, Bv)
+                    order = ell + 1 - count_points(twist, ell, "exhaustive")
+                    assert order == ell + 1 - chi * a, (curve, ell, x)
+    assert min(twists.values()) > 0
+
+
+def test_stride_start_matches_ladder():
+    # the giant walk's start (c + Kw)P = q(wP) + rP, r a baby step (r <= m)
+    # or wP less one (r > m), against the plain ladder
+    paths = {"r = 0": 0, "r <= m": 0, "r > m": 0}
+    for A, ell, points in _short_models(_seeded_curves(3, 59), 800):
+        c, s = ell + 1, isqrt(4 * ell)
+        m = isqrt(s) + 1
+        w, K = 2 * m + 1, (s + m) // (2 * m + 1)
+        for P in points:  # _annihilators returns early if some jP = O
+            steps = [None]
+            for _ in range(m + 1):
+                steps.append(galois._add(steps[-1], P, A, ell))
+            if None not in steps[1:]:
+                break
+        W = galois._add(steps[m + 1], steps[m], A, ell)
+        r = (c + K * w) % w
+        paths["r = 0" if r == 0 else "r <= m" if r <= m else "r > m"] += 1
+        assert galois._stride_mul(c + K * w, W, steps[:m + 1], A, ell) == \
+            galois._mul(c + K * w, P, A, ell), (A, ell, P)
+    assert min(paths.values()) > 0, paths
 
 
 def test_bsgs_ambiguity_above_exhaustive_limit(monkeypatch):

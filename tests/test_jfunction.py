@@ -265,6 +265,17 @@ def test_abs_err_does_not_underflow_to_zero():
     assert r.abs_err > 0.0
 
 
+def test_series_lengthens_with_precision():
+    # terms is a floor: 1024 bits sum past the 64 default, to a bound
+    # below 2^-1000, and the value agrees with mpmath's kleinj
+    tau = NumericPoint(0.1, 1.1, 1024)
+    r = j(tau, QSeriesContext(prec_bits=1024))
+    assert r.abs_err < 2.0 ** -1000
+    with mpmath.workprec(1100):
+        want = 1728 * mpmath.kleinj(mpmath.mpc(tau.re, tau.im))
+        assert abs(r.value - want) <= r.abs_err
+
+
 def test_jresult_dict_shape():
     d = j(CMPoint(-1, 0, 1)).to_dict()
     assert set(d) == {"value", "abs_err"}

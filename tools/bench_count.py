@@ -30,7 +30,8 @@ from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BINS = ((5, 100), (100, 300), (300, 1000), (1000, 3000))
+BINS = ((50, 100), (100, 150), (150, 200), (200, 300), (300, 1000),
+        (1000, 3000))
 METHODS = ("exhaustive", "bsgs")
 SAMPLE_BOUND = 2000
 HIT_CALLS = 20  # timed cache-hit samples per curve and round
