@@ -88,12 +88,11 @@ class EllipticCurve:
 
     @cached_property
     def _int_model(self):
-        """Everything reduction mod ell reads, in ints: the (numerator,
-        denominator) of a1..a6, the product of those denominators, the
-        short model (A u^4, B u^6) with u the least integer making both
-        integral, and the discriminant's numerator.  u divides a power of
-        that product, so the integral short model is isomorphic to E at
-        every prime where the long model is integral."""
+        """What reduction mod ell reads, in ints: the (numerator,
+        denominator) of a1..a6, the product den of those denominators, the
+        short model (A u^4, B u^6) with u | den^k the least integer making
+        both integral (isomorphic to E where den is a unit), and the
+        discriminant's numerator."""
         coeffs = tuple((a.numerator, a.denominator) for a in
                        (self.a1, self.a2, self.a3, self.a4, self.a6))
         A, B = self.short_model()
@@ -150,11 +149,6 @@ def _good_model(curve, ell):
     return coeffs, short
 
 
-def _reduce_coeffs(curve, ell):
-    return [num * pow(den, -1, ell) % ell
-            for num, den in _good_model(curve, ell)[0]]
-
-
 def _chi(v, ell):
     # Euler criterion; 0 on 0, +-1 otherwise
     v %= ell
@@ -164,7 +158,8 @@ def _chi(v, ell):
 
 
 def _count_exhaustive(curve, ell):
-    a1, a2, a3, a4, a6 = _reduce_coeffs(curve, ell)
+    a1, a2, a3, a4, a6 = (num * pow(den, -1, ell) % ell
+                          for num, den in _good_model(curve, ell)[0])
     if ell == 2:
         count = 1
         for x in range(2):
@@ -278,15 +273,13 @@ def _count_bsgs(curve, ell):
     its quadratic twist otherwise, so (ell + 1 - chi(v) a)P = O.  These
     points, x = 0, 1, 2, ..., narrow the a in the Hasse interval down to
     a_ell without a square root.  Falls back to the exhaustive count if
-    ambiguity survives 40 points."""
+    ambiguity survives x = 0, ..., 39."""
     if ell < 5:
         return _count_exhaustive(curve, ell)
-    A, B = _good_model(curve, ell)[1]
-    A, B = A % ell, B % ell
+    A, B = (v % ell for v in _good_model(curve, ell)[1])
     c, s = ell + 1, isqrt(4 * ell)
     cands = None
-    tried = 0
-    for x in range(ell):
+    for x in range(min(ell, 40)):
         v = ((x * x + A) * x + B) % ell
         if v == 0:
             continue
@@ -298,9 +291,6 @@ def _count_bsgs(curve, ell):
             return cands.pop()
         if not cands:
             raise AssertionError(f"no trace left at {ell}")
-        tried += 1
-        if tried == 40:
-            break
     if ell <= EXHAUSTIVE_LIMIT:
         return _count_exhaustive(curve, ell)
     raise OrderAmbiguous(f"order ambiguity persisted at {ell}")
