@@ -159,8 +159,12 @@ def _short_models(curves, bound):
             roots = {}
             for y in range(ell):
                 roots.setdefault(y * y % ell, y)
-            yield A, ell, ((x, roots[v]) for x in range(ell)
-                           if (v := (x ** 3 + A * x + B) % ell) in roots)
+            points = []
+            for x in range(ell):
+                v = (x ** 3 + A * x + B) % ell
+                if v in roots:
+                    points.append((x, roots[v]))
+            yield A, ell, iter(points)
 
 
 def test_mul_matches_repeated_add():
