@@ -54,9 +54,12 @@ from .typecount import type_count_report
 
 OK, FAIL, USAGE, INCONCLUSIVE = 0, 1, 2, 3
 
-# j at 2**16 bits takes about a second, and near 1e11 bits mpmath runs
-# out of memory.  The lower bound of 64 bits is the library's own.
-MAX_PRECISION_BITS = 1 << 16
+# j sums about prec/7.3 terms of its series (1121 at 2**13 bits), and its
+# cost grows faster than the square of that: at 2**13 bits `j` takes about
+# a second and `axiom mod1 --n 2` (40 j calls) about 14 s, while at 2**14
+# bits they take 3 s and 82 s.  The lower bound of 64 bits is the library's
+# own.
+MAX_PRECISION_BITS = 1 << 13
 
 _USAGE_ERRORS = (ValueError, NotSquarefree, LevelTooLarge, BadDeterminant,
                  BadReduction, NotElliptic, json.JSONDecodeError)

@@ -23,12 +23,14 @@ from .errors import BadDeterminant, BadReduction, OrderAmbiguous
 EXHAUSTIVE_LIMIT = 10 ** 5
 BSGS_LIMIT = 10 ** 7
 # "auto" counts exhaustively below this prime and by BSGS from it on: per
-# prime (tools/bench_count.py; CPython 3.11, 2-core x86-64 VM) bsgs costs
-# 1.07-1.12 times the exhaustive sum in [80, 100), 0.95-0.97 in [100, 120)
-# (about 19 us) and 0.80-0.94 in [120, 150); counts are exact either way.
+# prime, the two methods alternating on each (curve, ell) (three runs of
+# tools/bench_count.py --crossover --rounds 15; CPython 3.11, 2-core
+# x86-64 VM), bsgs costs 1.45-1.46 times the exhaustive sum in [80, 100),
+# 1.08-1.11 in [100, 110), 0.90-0.93 in [110, 120) and 0.97-0.99 in
+# [120, 150); counts are exact either way.
 # Above 229, E or its twist has points that pin a_ell (Mestre); on 80
 # seeded curves bsgs fell back to the exhaustive sum only at ell <= 23.
-BSGS_CUTOFF = 100
+BSGS_CUTOFF = 110
 CERTIFIABLE_PRIMES = (5, 7, 11, 13)
 
 
@@ -90,8 +92,9 @@ class EllipticCurve:
     def _int_model(self):
         """What reduction mod ell reads, in ints: the (numerator,
         denominator) of a1..a6, the product den of those denominators, the
-        short model (A u^4, B u^6) with u | den^k the least integer making
-        both integral (isomorphic to E where den is a unit), and the
+        integral short model (A u^4, B u^6) with u the lcm of the
+        denominators of A and B (every prime of u divides den, so u is a
+        unit and the model is isomorphic to E wherever den is), and the
         discriminant's numerator."""
         coeffs = tuple((a.numerator, a.denominator) for a in
                        (self.a1, self.a2, self.a3, self.a4, self.a6))
@@ -445,7 +448,7 @@ def _certify_image(curve, p, bound):
         raise ValueError(f"p must be in {CERTIFIABLE_PRIMES}, got {p}")
     if bound < 10 ** 3:
         raise ValueError(f"bound must be at least 1000, got {bound}")
-    disc = curve._c4_c6_disc[2]
+    disc = curve.discriminant()
     if (disc.numerator * disc.denominator) % p == 0:
         reason = f"p = {p} divides the discriminant"
         return ImageCertificate(p, bound, "Inconclusive", {},

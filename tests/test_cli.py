@@ -524,6 +524,25 @@ def test_precision_bits_too_large_is_usage_error(capsys):
     assert "--precision-bits" in captured.err
 
 
+def test_j_at_the_precision_cap_finishes():
+    # the series lengthens with the precision, so the cap bounds the work
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    bits = str(cli.MAX_PRECISION_BITS)
+    done = subprocess.run(
+        [sys.executable, "-m", "heckelab.cli", "j", "0.1+1.1i",
+         "--precision-bits", bits],
+        env=env, capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert strict_loads(done.stdout)["report"]["abs_err"] < 1e-300
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["j", "0.1+1.1i", "--precision-bits",
+                  str(cli.MAX_PRECISION_BITS + 1)])
+    assert exc.value.code == 2
+
+
 def test_unwritable_output_is_usage_error(tmp_path, capsys):
     for path in (tmp_path / "missing" / "x.json", tmp_path):
         assert cli.main(["modpoly", "2", "--output", str(path)]) == 2

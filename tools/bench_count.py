@@ -1,6 +1,7 @@
 """Per-prime cost of Frobenius-trace counting, by method and ell bin.
 
     python3 tools/bench_count.py [--src DIR]... [--rounds N] [--out PATH]
+    python3 tools/bench_count.py --crossover [--src DIR] [--rounds N]
 
 For each source tree (default: this checkout's src/) it times
 `galois.count_points(curve, ell, method)` for "exhaustive" and "bsgs" on
@@ -15,6 +16,13 @@ is timed the same way and under the same host conditions.  Each figure
 written is the median over rounds.  The JSON (default BENCH_count.json at
 the root of the checkout) records nproc, the Python version and each
 tree's git commit, the trees in --src order.
+
+--crossover compares the two methods within one tree instead, for
+choosing galois.BSGS_CUTOFF: on each (curve, good ell) in CROSSOVER_BINS
+it alternates the methods --rounds times in one process and keeps the
+median time of each, so a change of host speed reaches both alike, and
+prints per bin the ratio of the bsgs sum to the exhaustive sum and on how
+many primes bsgs was faster.  It writes no file.
 """
 
 import argparse
@@ -32,6 +40,8 @@ from multiprocessing import get_context
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BINS = ((50, 100), (100, 150), (150, 200), (200, 300), (300, 1000),
         (1000, 3000))
+CROSSOVER_BINS = ((60, 80), (80, 100), (100, 110), (110, 120), (120, 150),
+                  (150, 200))
 METHODS = ("exhaustive", "bsgs")
 SAMPLE_BOUND = 2000
 HIT_CALLS = 20  # timed cache-hit samples per curve and round
@@ -96,6 +106,39 @@ def measure(src, bins=BINS):
             "curves": [str(c) for c in curves]}
 
 
+def crossover(src, reps, bins=CROSSOVER_BINS):
+    """Per bin: (bsgs sum / exhaustive sum of per-prime medians, primes
+    where bsgs was faster, primes), the methods alternating on each."""
+    sys.path.insert(0, src)
+    from heckelab import galois
+    curves = _curves(galois) + [galois.parse_curve(t) for t in (
+        "[0,0,0,-1,0]", "[1/2,0,-1/3,-3,1/4]")]
+    for ell in (101, 103, 107):  # warm the interpreter and imports
+        for method in METHODS:
+            galois.count_points(curves[0], ell, method)
+    rows = {}
+    for lo, hi in bins:
+        sums, faster, n = dict.fromkeys(METHODS, 0.0), 0, 0
+        for c in curves:
+            disc = c.discriminant()
+            for ell in galois.primes_upto(hi - 1):
+                if ell < lo or disc.numerator * disc.denominator % ell == 0:
+                    continue
+                times = {m: [] for m in METHODS}
+                for r in range(reps):
+                    for m in METHODS if r % 2 == 0 else METHODS[::-1]:
+                        t0 = time.perf_counter()
+                        galois.count_points(c, ell, m)
+                        times[m].append(time.perf_counter() - t0)
+                med = {m: statistics.median(times[m]) for m in METHODS}
+                for m in METHODS:
+                    sums[m] += med[m]
+                faster += med["bsgs"] < med["exhaustive"]
+                n += 1
+        rows[f"{lo}-{hi}"] = (sums["bsgs"] / sums["exhaustive"], faster, n)
+    return rows
+
+
 def _commit(src):
     try:
         out = subprocess.run(["git", "-C", src, "describe", "--always",
@@ -117,8 +160,15 @@ def main():
                         help="a tree's src/ directory; repeat to compare")
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_count.json"))
+    parser.add_argument("--crossover", action="store_true",
+                        help="bsgs against exhaustive per bin in one tree")
     args = parser.parse_args()
     srcs = [os.path.abspath(s) for s in args.src or [os.path.join(ROOT, "src")]]
+    if args.crossover:
+        for b, (ratio, faster, n) in crossover(srcs[0], args.rounds).items():
+            print(f"[{b}) bsgs/exhaustive {ratio:.3f}, bsgs faster at "
+                  f"{faster} of {n} primes")
+        return
     runs = {src: [] for src in srcs}
     for r in range(args.rounds):
         for src in srcs if r % 2 == 0 else srcs[::-1]:
