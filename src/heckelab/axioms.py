@@ -23,6 +23,11 @@ from .hecke import correspondence_fiber, double_coset_reps, modular_polynomial
 from .jfunction import DEFAULT_CTX, QSeriesContext, invert_j, j
 from .moebius import CMPoint, NumericPoint, act, fixed_point, special_witness
 
+# one MOD1 trial evaluates j twice: about 0.9 ms at 128 bits and 0.7-0.85 s
+# at the CLI's 8192-bit cap (n = 1, 2, 3; CPython 3.11, 2-core x86-64 VM),
+# so the most trials cost under a minute at any accepted precision
+MAX_TRIALS = 64
+
 
 @dataclass(frozen=True)
 class AxiomReport:
@@ -59,6 +64,8 @@ def check_mod1(n: int, trials: int = 20, tol: float = 1e-6, seed: int = 0,
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be at most {MAX_TRIALS}, got {trials}")
     params = {"n": n, "tol": tol}
     try:
         if phi is None:

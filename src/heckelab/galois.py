@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import isqrt, lcm, prod
+from math import isqrt, lcm
 
 from .congruence import sl2_order, subgroup_order
 from .errors import BadDeterminant, BadReduction, OrderAmbiguous
@@ -47,8 +47,7 @@ def primes_upto(bound):
 
 
 def _invariants(a1, a2, a3, a4, a6):
-    """(c4, c6, discriminant) of a Weierstrass model, in the arithmetic of
-    its coefficients: int for an integral model, Fraction otherwise."""
+    """(c4, c6, discriminant) of an integral Weierstrass model."""
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
@@ -60,7 +59,12 @@ def _invariants(a1, a2, a3, a4, a6):
 @dataclass(frozen=True)
 class EllipticCurve:
     """Long Weierstrass model y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6
-    with exact rational coefficients and nonzero discriminant."""
+    with exact rational coefficients and nonzero discriminant.
+
+    With u the lcm of the coefficients' denominators, a_i u^i are the
+    a-invariants of an integral model isomorphic to E over Q (x = X/u^2,
+    y = Y/u^3).  It is built once, in ints, with its c4, c6 and
+    discriminant, and every reduction mod ell reads it."""
 
     a1: Fraction
     a2: Fraction
@@ -73,36 +77,22 @@ class EllipticCurve:
                                         self.a6)]
         for name, a in zip(("a1", "a2", "a3", "a4", "a6"), coeffs):
             object.__setattr__(self, name, a)
-        if all(a.denominator == 1 for a in coeffs):
-            coeffs = [a.numerator for a in coeffs]
-        c4_c6_disc = _invariants(*coeffs)
-        if c4_c6_disc[2] == 0:
+        u = lcm(*(a.denominator for a in coeffs))
+        model = tuple(a.numerator * (u ** i // a.denominator)
+                      for a, i in zip(coeffs, (1, 2, 3, 4, 6)))
+        c4, c6, disc = _invariants(*model)
+        if disc == 0:
             raise ValueError("singular curve: discriminant is zero")
-        object.__setattr__(self, "_c4_c6_disc", c4_c6_disc)
+        object.__setattr__(self, "_integral", (u, model, c4, c6, disc))
 
     def discriminant(self) -> Fraction:
-        return Fraction(self._c4_c6_disc[2])
+        u, _, _, _, disc = self._integral
+        return Fraction(disc, u ** 12)
 
     def short_model(self):
         """(A, B) with y^2 = x^3 + A x + B isomorphic to E away from 2, 3."""
-        c4, c6, _ = self._c4_c6_disc
-        return Fraction(-27 * c4), Fraction(-54 * c6)
-
-    @cached_property
-    def _int_model(self):
-        """What reduction mod ell reads, in ints: the (numerator,
-        denominator) of a1..a6, the product den of those denominators, the
-        integral short model (A u^4, B u^6) with u the lcm of the
-        denominators of A and B (every prime of u divides den, so u is a
-        unit and the model is isomorphic to E wherever den is), and the
-        discriminant's numerator."""
-        coeffs = tuple((a.numerator, a.denominator) for a in
-                       (self.a1, self.a2, self.a3, self.a4, self.a6))
-        A, B = self.short_model()
-        u = lcm(A.denominator, B.denominator)
-        return (coeffs, prod(den for _, den in coeffs),
-                (int(A * u ** 4), int(B * u ** 6)),
-                self.discriminant().numerator)
+        u, _, c4, c6, _ = self._integral
+        return Fraction(-27 * c4, u ** 4), Fraction(-54 * c6, u ** 6)
 
     def __hash__(self):
         return self._hash
@@ -140,16 +130,15 @@ def parse_curve(text: str) -> EllipticCurve:
 
 
 def _good_model(curve, ell):
-    """The (numerator, denominator) pairs of a1..a6 and the integral short
-    model, once ell is found a prime of good reduction."""
-    coeffs, den, short, disc = curve._int_model
-    if den % ell == 0:
+    """The integral a-invariants and the integral short model
+    (-27 c4, -54 c6), once ell is found a prime of good reduction."""
+    u, model, c4, c6, disc = curve._integral
+    if u % ell == 0:
         raise BadReduction(f"model not integral at {ell}")
-    # the discriminant's denominator divides a power of den, so it is a
-    # unit mod ell once den is
+    # disc is u^12 times E's discriminant, and u is a unit mod ell
     if disc % ell == 0:
         raise BadReduction(f"bad reduction at {ell}")
-    return coeffs, short
+    return model, (-27 * c4, -54 * c6)
 
 
 def _chi(v, ell):
@@ -161,8 +150,7 @@ def _chi(v, ell):
 
 
 def _count_exhaustive(curve, ell):
-    a1, a2, a3, a4, a6 = (num * pow(den, -1, ell) % ell
-                          for num, den in _good_model(curve, ell)[0])
+    a1, a2, a3, a4, a6 = (a % ell for a in _good_model(curve, ell)[0])
     if ell == 2:
         count = 1
         for x in range(2):

@@ -5,8 +5,8 @@ Evaluation reduces the argument to the standard fundamental domain
 keeps gamma as four ints, and sums the integer q-expansion there, where
 |q| <= e^{-pi*sqrt(3)} makes the tail geometric.  The reported error bound
 uses |c_m| <= e^{4*pi*sqrt(m)}, which dominates the true coefficients;
-the series runs to ctx.terms terms, or further, until that bound at the
-largest |q| falls below 2^-prec.
+the series runs to DEFAULT_TERMS terms, or further, until that bound at
+the largest |q| falls below 2^-prec.
 The head of the series is summed by one Horner kernel in Gaussian fixed
 point (Python ints scaled by 2^bits, after Enge's fixed-point evaluation
 of q-series); at a reduced point it is off by at most 2^(20-bits), and
@@ -34,17 +34,14 @@ S = RatMatrix(0, -1, 1, 0)
 
 @dataclass(frozen=True)
 class QSeriesContext:
-    terms: int = DEFAULT_TERMS
     prec_bits: int = 128
 
     def __post_init__(self):
-        if self.terms < 16:
-            raise ValueError("need at least 16 series terms")
         if self.prec_bits < 64:
             raise ValueError("need at least 64 bits")
 
     def refined(self) -> "QSeriesContext":
-        return QSeriesContext(self.terms * 2, self.prec_bits * 2)
+        return QSeriesContext(self.prec_bits * 2)
 
 
 DEFAULT_CTX = QSeriesContext()
@@ -145,11 +142,11 @@ def _tail_constants(K: int, prec: int) -> tuple:
 
 
 def _terms(ctx: QSeriesContext) -> int:
-    """The least K >= ctx.terms whose tail bound at the largest |q| of a
+    """The least K >= DEFAULT_TERMS whose tail bound at the largest |q| of a
     reduced point, r = e^{-pi sqrt 3}, is below 2^-prec_bits:
     e^{4 pi sqrt(K)} r^K / (1 - e^{2 pi / sqrt(K)} r), taken in float logs
     only to pick the length; the bound j reports is computed exactly."""
-    K = ctx.terms
+    K = DEFAULT_TERMS
     while (4 * pi * sqrt(K) - pi * sqrt(3) * K
            - log(1 - exp(2 * pi / sqrt(K) - pi * sqrt(3)))
            >= -ctx.prec_bits * log(2)):

@@ -80,8 +80,8 @@ def delta_over_q(K: int) -> list:
     return g
 
 
-# j is summed to DEFAULT_TERMS terms unless a context asks for more, and the
-# first table covers them.  So a default request builds it once: `axiom
+# j is summed to DEFAULT_TERMS terms unless its precision asks for more, and
+# the first table covers them.  So a default request builds it once: `axiom
 # mod1` and `mod2` read Phi_3's 76 terms before j's 64.
 DEFAULT_TERMS = 64
 _qj_table: list = []

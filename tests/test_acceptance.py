@@ -39,7 +39,7 @@ from heckelab.moebius import (
 )
 from heckelab.typecount import type_count_report
 
-CTX = QSeriesContext(terms=64, prec_bits=192)
+CTX = QSeriesContext(prec_bits=192)
 E_11A3 = parse_curve("[0,-1,1,0,0]")
 E_37A1 = parse_curve("[0,0,1,-1,0]")
 

@@ -10,7 +10,7 @@ from heckelab.hecke import ModularPolynomial, modular_polynomial
 from heckelab.jfunction import QSeriesContext, j
 from heckelab.moebius import CMPoint, NumericPoint
 
-CTX = QSeriesContext(terms=64, prec_bits=192)
+CTX = QSeriesContext(prec_bits=192)
 
 
 def test_mod1_n2_passes():

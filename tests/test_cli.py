@@ -105,6 +105,25 @@ def test_axiom_mod1_without_trials_is_usage_error(trials, capsys):
     assert "trials must be at least 1" in captured.err
 
 
+def _cli_process(argv):
+    """The CLI run in a fresh process, killed after 30 s."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-m", "heckelab.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=30)
+
+
+def test_axiom_mod1_too_many_trials_exits_2_at_once():
+    done = _cli_process(["axiom", "mod1", "--n", "2", "--trials",
+                         "1000000000"])
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert "trials must be at most" in done.stderr
+
+
 def test_axiom_mod2(capsys):
     code, doc = run(capsys, ["axiom", "mod2", "--n", "2", "--X0", "1728"])
     assert code == 0
@@ -196,12 +215,7 @@ M127 = str(2 ** 127 - 1)  # a prime with no factor in reach of trial division
     ["special", "matrix", "--m", f"[[0,-{M127}],[1,0]]"],
 ])
 def test_unfactorable_integer_exits_2(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(os.path.dirname(__file__), "..", "src")]
-        + [p for p in [env.get("PYTHONPATH")] if p])
-    done = subprocess.run([sys.executable, "-m", "heckelab.cli", *argv],
-                          env=env, capture_output=True, text=True, timeout=30)
+    done = _cli_process(argv)
     assert done.returncode == 2, done.stderr
     assert done.stdout == ""
     assert "Traceback" not in done.stderr
@@ -242,6 +256,36 @@ def test_frobenius(capsys):
     assert code == 0
     ells = [ell for ell, _ in doc["report"]["samples"]]
     assert 37 not in ells and 2 in ells
+
+
+RATIONAL_CURVE = "[1/2,0,-1/3,-3,1/4]"  # discriminant 12634285/6912
+
+
+def _golden_stdout(command, params, report):
+    doc = {"command": command,
+           "config": {"output": None, "params": params, "precision_bits": 128,
+                      "seed": 0, "tolerance": None},
+           "report": report}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_rational_curve_golden_stdout(capsys):
+    # recorded before the integral model replaced the (numerator,
+    # denominator) reductions; 2, 3 and 5 divide the discriminant
+    samples = [[7, -1], [11, 5], [13, -1], [17, -4], [19, -4], [23, 0],
+               [31, -8], [37, -4], [41, 9], [43, -2], [47, 12], [53, 5],
+               [59, -1], [61, 0], [67, -11], [71, -1], [73, 4], [79, -2],
+               [83, 8], [89, -15], [97, 1]]
+    assert cli.main(["frobenius", RATIONAL_CURVE, "--upto", "100"]) == 0
+    assert capsys.readouterr().out == _golden_stdout(
+        "frobenius", {"curve": RATIONAL_CURVE, "upto": 100},
+        {"bound": 100, "curve": RATIONAL_CURVE, "samples": samples})
+    assert cli.main(["image", RATIONAL_CURVE, "--p", "5",
+                     "--upto", "1000"]) == 3
+    assert capsys.readouterr().out == _golden_stdout(
+        "image", {"curve": RATIONAL_CURVE, "p": 5, "upto": 1000},
+        {"bound": 1000, "detail": {"reason": "p = 5 divides the discriminant"},
+         "p": 5, "verdict": "Inconclusive", "witnesses": {}})
 
 
 def test_image_borel_example(capsys):

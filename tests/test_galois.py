@@ -288,6 +288,54 @@ def test_bad_reduction():
         count_points(parse_curve("[0,0,0,1/5,1]"), 5)  # non-integral model
 
 
+def _fraction_invariants(curve):
+    """Independent oracle: c4, c6 and the discriminant in Fractions, from
+    the coefficients as typed."""
+    a1, a2, a3, a4, a6 = (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)
+    b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    return (b2 * b2 - 24 * b4, -b2 ** 3 + 36 * b2 * b4 - 216 * b6,
+            -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6)
+
+
+# rational models and u, the lcm of their coefficients' denominators
+RATIONAL_MODELS = (("[1/2,0,-1/3,-3,1/4]", 12), ("[1/6,1/5,0,2,7/9]", 90),
+                   ("[0,0,0,1/16,3/64]", 64))
+
+
+@pytest.mark.parametrize("text,u", RATIONAL_MODELS)
+def test_rational_model_matches_its_integral_rescaling(text, u):
+    curve = parse_curve(text)
+    coeffs = (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)
+    scaled = EllipticCurve(*(a * u ** i for a, i in zip(coeffs,
+                                                         (1, 2, 3, 4, 6))))
+    assert all(a.denominator == 1 for a in (scaled.a1, scaled.a2, scaled.a3,
+                                            scaled.a4, scaled.a6))
+    c4, c6, disc = _fraction_invariants(curve)
+    assert curve.discriminant() == disc
+    assert curve.short_model() == (-27 * c4, -54 * c6)
+    assert scaled.discriminant() == disc * u ** 12
+    for ell in primes_upto(2000):
+        if u % ell == 0:
+            with pytest.raises(BadReduction, match="not integral"):
+                count_points(curve, ell)
+            continue
+        if disc.numerator % ell == 0:
+            for c in (curve, scaled):
+                with pytest.raises(BadReduction, match="bad reduction"):
+                    count_points(c, ell)
+            continue
+        want = count_points(scaled, ell, "exhaustive")
+        assert count_points(curve, ell, "exhaustive") == want, ell
+        if ell >= 5:
+            assert count_points(curve, ell, "bsgs") == want, ell
+            assert count_points(scaled, ell, "bsgs") == want, ell
+    ells = {ell for ell, _ in frobenius_sample(curve, 2000).samples}
+    assert not any(u % ell == 0 for ell in ells)
+    assert ells == {ell for ell in primes_upto(2000)
+                    if u % ell and disc.numerator % ell}
+
+
 def test_hasse_bound_on_samples():
     sample = frobenius_sample(E_37A1, 300)
     assert sample.samples

@@ -18,7 +18,7 @@ from heckelab.hecke import (
 from heckelab.jfunction import QSeriesContext, j
 from heckelab.moebius import CMPoint, NumericPoint, RatMatrix, act
 
-CTX = QSeriesContext(terms=64, prec_bits=192)
+CTX = QSeriesContext(prec_bits=192)
 
 PHI2_CLASSICAL = {
     (3, 0): 1, (0, 3): 1, (2, 2): -1,

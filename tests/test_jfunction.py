@@ -246,7 +246,7 @@ def test_j_matches_kleinj():
 
 
 def test_error_bound_honest():
-    ctx = QSeriesContext(terms=32, prec_bits=96)
+    ctx = QSeriesContext(prec_bits=96)
     pts = [
         NumericPoint(0.13, 1.1),
         NumericPoint(-0.41, 0.95),
@@ -261,12 +261,12 @@ def test_error_bound_honest():
 
 def test_abs_err_does_not_underflow_to_zero():
     # the bound here is below the least positive float
-    r = j(NumericPoint(0.1, 1.1, 1748), QSeriesContext(terms=260, prec_bits=1748))
+    r = j(NumericPoint(0.1, 1.1, 1748), QSeriesContext(prec_bits=1748))
     assert r.abs_err > 0.0
 
 
 def test_series_lengthens_with_precision():
-    # terms is a floor: 1024 bits sum past the 64 default, to a bound
+    # DEFAULT_TERMS is a floor: 1024 bits sum past it, to a bound
     # below 2^-1000, and the value agrees with mpmath's kleinj
     tau = NumericPoint(0.1, 1.1, 1024)
     r = j(tau, QSeriesContext(prec_bits=1024))
@@ -284,7 +284,5 @@ def test_jresult_dict_shape():
 
 
 def test_ctx_validation():
-    with pytest.raises(ValueError):
-        QSeriesContext(terms=8)
     with pytest.raises(ValueError):
         QSeriesContext(prec_bits=32)
