@@ -119,7 +119,8 @@ def check_mod2(n: int, X0, tol: float = 1e-4, seed: int | None = None,
         images = [
             j(act(rep, tau0), ctx).value for rep in double_coset_reps(n).reps
         ]
-        roots = correspondence_fiber(phi, X0, prec_bits=ctx.prec_bits, tol=tol)
+        roots = correspondence_fiber(phi, X0, images, prec_bits=ctx.prec_bits,
+                                     tol=tol)
     except (IllConditioned, NoConvergence, PrecisionExhausted) as exc:
         return AxiomReport(f"MOD2({n})", params, seed, 0, None,
                            "inconclusive", ({"error": str(exc)},))

@@ -1,7 +1,10 @@
 """Batch command line frontend.
 
-Every invocation runs one subcommand and prints a single JSON document
-on standard output; diagnostics go to standard error.  The document
+Every invocation runs one subcommand.  A report, including an axiom's
+inconclusive verdict, is printed as one JSON document on standard
+output; a usage error (exit 2) or an inconclusive raised inside a
+subcommand (exit 3) prints nothing there, only a message on standard
+error (ROADMAP item 3 would give those a document too).  The document
 embeds the run configuration (seed, precision, tolerance, output path,
 subcommand parameters) so a report can be reproduced from itself.  Exit
 codes: 0 pass/success, 1 fail with witness, 2 usage error,

@@ -99,18 +99,6 @@ class ModularPolynomial:
     def is_symmetric(self) -> bool:
         return all(self.coefficient(j, i) == c for (i, j), c in self.coeffs.items())
 
-    def evaluate(self, x, y):
-        xs = [1]
-        for _ in range(self.degX):
-            xs.append(xs[-1] * x)
-        ys = [1]
-        for _ in range(self.degY):
-            ys.append(ys[-1] * y)
-        total = 0
-        for (i, j), c in sorted(self.coeffs.items()):
-            total += c * xs[i] * ys[j]
-        return total
-
     def residual(self, x, y) -> float:
         """|Phi(x,y)| / (1 + the largest |c_ij x^i y^j|), exact until one
         final rounding.
@@ -242,24 +230,31 @@ def modular_polynomial(n: int) -> ModularPolynomial:
     return ModularPolynomial.from_map(n, coeffs)
 
 
-def correspondence_fiber(phi: ModularPolynomial, X0, prec_bits: int = 128,
-                         tol: float = 1e-4) -> list:
-    """Root multiset of Phi(X0, .) with certified residuals."""
+def correspondence_fiber(phi: ModularPolynomial, X0, starts,
+                         prec_bits: int = 128, tol: float = 1e-4) -> list:
+    """Root multiset of Phi(X0, .) with certified residuals.
+
+    One Durand-Kerner pass starts at `starts`, approximations of the
+    roots (MOD2 passes the coset images).  They only steer the iteration:
+    the roots come from Phi alone, and each must pass Phi's residual gate.
+    """
     with mpmath.workprec(prec_bits):
         X0 = mpmath.mpc(X0)
         coeffs = phi.y_coefficients_at(X0)
         if phi.degY == 0:
             return []
+        # equal starts at a multiple root never split, so each start moves
+        # by a distinct relative 2^-40 (absolute where it is 0)
+        w = mpmath.mpc(0.4, 0.9)
+        starts = [z + (z or 1) * w ** k / 2 ** 40
+                  for k, z in enumerate(map(mpmath.mpc, starts))]
         try:
-            roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=80)
-        except mpmath.libmp.libhyper.NoConvergence:
-            # multiple roots stall the iteration; far more steps and guard
-            # bits resolve them, and the residual gate still applies
-            try:
-                roots = mpmath.polyroots(coeffs, maxsteps=2000, extraprec=600)
-            except mpmath.libmp.libhyper.NoConvergence as exc:
-                raise IllConditioned(
-                    f"no root convergence at X0 = {X0}: {exc}") from exc
+            # the guard bits resolve the multiple roots at 0 and 1728
+            roots = mpmath.polyroots(coeffs, maxsteps=2000, extraprec=600,
+                                     roots_init=starts)
+        except mpmath.libmp.libhyper.NoConvergence as exc:
+            raise IllConditioned(
+                f"no root convergence at X0 = {X0}: {exc}") from exc
         for r in roots:
             rel = phi.residual(X0, r)
             if rel > tol:

@@ -4,8 +4,8 @@ Truncated power series are plain lists of Python ints, entry t holding the
 coefficient of q^t.  Delta/q comes from the sigma_1 recurrence of its
 logarithmic derivative, and the j-series is E4^3 divided by Delta/q (the
 leading 1/q split off) in one series-division pass; Delta/q has constant
-term 1, so every coefficient is an exact integer.  The
-E4^3 - E6^2 = 1728*Delta identity gives an independent consistency check.
+term 1, so every coefficient is an exact integer.  The tests
+check Delta against the independent identity E4^3 - E6^2 = 1728*Delta.
 Every length of the j-series is read as a prefix of one table, which is
 rebuilt only when a longer one is asked for.
 """
@@ -59,10 +59,6 @@ def sigma(n: int, k: int) -> int:
 
 def eisenstein4(K: int) -> list:
     return [1] + [240 * sigma(n, 3) for n in range(1, K)]
-
-
-def eisenstein6(K: int) -> list:
-    return [1] + [-504 * sigma(n, 5) for n in range(1, K)]
 
 
 def delta_over_q(K: int) -> list:

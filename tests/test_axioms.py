@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from heckelab import hecke
+from heckelab import axioms, hecke
 from heckelab.axioms import AxiomReport, check_mod1, check_mod2, check_sf, check_sp
 from heckelab.congruence import sl2_order
 from heckelab.errors import LevelTooLarge
@@ -109,6 +109,31 @@ def test_mod2_generic_point():
     rep = check_mod2(2, x0, ctx=CTX)
     assert rep.verdict == "pass"
     assert rep.max_residual < 1e-4
+
+
+@pytest.mark.parametrize("x0", [0, 1728])
+def test_mod2_n3_multiple_roots(x0):
+    # Phi_3(0, Y) = Y (Y + 12288000)^3; Phi_3(1728, Y) has two real double
+    # roots, one of them j(3i) = j(i/3)
+    rep = check_mod2(3, x0, ctx=CTX)
+    assert rep.verdict == "pass"
+    assert rep.trials == 4
+    assert rep.max_residual < 1e-4
+
+
+@pytest.mark.parametrize("x0", [5000, 1728, complex(45000, -80000)])
+def test_mod2_corrupted_phi_fails_with_witness(monkeypatch, x0):
+    # X^3 Y off by one moves every root of Phi_2(X0, Y) away from the
+    # coset images, including the double root 287496 over 1728
+    bad = dict(modular_polynomial(2).coeffs)
+    bad[(3, 1)] = bad.get((3, 1), 0) + 1
+    bad_phi = ModularPolynomial.from_map(2, bad)
+    monkeypatch.setattr(axioms, "modular_polynomial", lambda n: bad_phi)
+    rep = check_mod2(2, x0, ctx=CTX)
+    assert rep.verdict == "fail"
+    assert rep.max_residual >= 1e-4
+    assert len(rep.witnesses) == 3
+    assert max(w["distance"] for w in rep.witnesses) == rep.max_residual
 
 
 def test_sp_at_i():

@@ -15,7 +15,7 @@ from heckelab.hecke import (
     psi,
     verify_disjoint,
 )
-from heckelab.jfunction import QSeriesContext, j
+from heckelab.jfunction import QSeriesContext, invert_j, j
 from heckelab.moebius import CMPoint, NumericPoint, RatMatrix, act
 
 CTX = QSeriesContext(prec_bits=192)
@@ -77,7 +77,7 @@ def test_disjointness_detects_merge():
 def test_phi1():
     phi = modular_polynomial(1)
     assert phi.coeffs == {(1, 0): 1, (0, 1): -1}
-    assert phi.evaluate(7, 7) == 0
+    assert phi.residual(7, 7) == 0
 
 
 def test_phi2_classical_table():
@@ -125,6 +125,12 @@ def _mpmath_residual(phi, x, y, bits):
         return abs(mpmath.fsum(terms)) / (1 + top)
 
 
+def _images(n, x0, ctx=CTX):
+    # the coset images j(g tau0) over X0 = j(tau0): MOD2's starts
+    tau0 = invert_j(x0, ctx)
+    return [j(act(rep, tau0), ctx).value for rep in double_coset_reps(n).reps]
+
+
 def _residual_points(n, rng):
     # (j(tau), j(n tau)) at 128 bits, whose values carry 168, and the fiber
     # of Phi_n over X0 = 1e30
@@ -136,7 +142,8 @@ def _residual_points(n, rng):
             ntau = NumericPoint(tau.re * n, tau.im * n, 128)
         pts.append((j(tau, ctx).value, j(ntau, ctx).value))
     x0 = mpmath.mpf(1e30)
-    pts += [(x0, r) for r in correspondence_fiber(modular_polynomial(n), x0)]
+    fiber = correspondence_fiber(modular_polynomial(n), x0, _images(n, x0, ctx))
+    pts += [(x0, r) for r in fiber]
     return pts
 
 
@@ -205,14 +212,16 @@ def test_modpoly_unsupported_level():
 
 
 def test_fiber_phi1():
-    roots = correspondence_fiber(modular_polynomial(1), 5)
+    # a start only steers: 4 still converges to the root 5
+    roots = correspondence_fiber(modular_polynomial(1), 5, [4])
     assert len(roots) == 1
     assert abs(roots[0] - 5) < 1e-9
 
 
 def test_fiber_triple_root_at_zero():
     # Phi_2(0, Y) = (Y - 54000)^3; 54000 = j(sqrt(-3)) = j(2 * zeta-point)
-    roots = correspondence_fiber(modular_polynomial(2), 0)
+    # three equal starts at the triple root still split and converge
+    roots = correspondence_fiber(modular_polynomial(2), 0, [54000] * 3)
     assert len(roots) == 3
     for r in roots:
         assert abs(r - 54000) / 54000 < 1e-4
@@ -224,11 +233,11 @@ def test_fiber_matches_direct_images():
     phi = modular_polynomial(2)
     tau0 = NumericPoint(0.21, 1.37, 192)
     x0 = j(tau0, CTX).value
-    roots = sorted(correspondence_fiber(phi, x0), key=lambda z: (z.real, z.imag))
-    imgs = sorted(
-        (j(act(rep, tau0), CTX).value for rep in double_coset_reps(2).reps),
-        key=lambda z: (z.real, z.imag),
-    )
+    imgs = [j(act(rep, tau0), CTX).value for rep in double_coset_reps(2).reps]
+    # starts 1% off the images: the roots come from Phi_2, not the starts
+    roots = correspondence_fiber(phi, x0, [1.01 * b for b in imgs])
+    roots = sorted(roots, key=lambda z: (z.real, z.imag))
+    imgs.sort(key=lambda z: (z.real, z.imag))
     for a, b in zip(roots, imgs):
         assert abs(a - b) / (1 + abs(b)) < 1e-4
 
@@ -236,7 +245,7 @@ def test_fiber_matches_direct_images():
 def test_fiber_residual_gate():
     phi = modular_polynomial(2)
     with pytest.raises(IllConditioned):
-        correspondence_fiber(phi, 100.0, tol=0.0)
+        correspondence_fiber(phi, 100.0, _images(2, 100.0), tol=0.0)
 
 
 def test_is_squarefree_brute_force():

@@ -6,10 +6,10 @@ from heckelab import qexp
 from heckelab.qexp import (
     delta_over_q,
     eisenstein4,
-    eisenstein6,
     j_coefficients,
     series_mul,
     series_pow,
+    sigma,
 )
 
 
@@ -21,6 +21,10 @@ def test_series_pow_matches_repeated_mul():
         for e in range(9):
             assert series_pow(f, e, K) == expected
             expected = series_mul(expected, f, K)
+
+
+def eisenstein6(K):
+    return [1] + [-504 * sigma(n, 5) for n in range(1, K)]
 
 
 def test_eisenstein_cubes_minus_squares_is_1728_delta():

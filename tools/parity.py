@@ -6,9 +6,10 @@ Extracts REV of this repository with `git archive` into a temporary
 directory and runs one fixed, seeded list of argv (`argvs()`) through
 `heckelab.cli.main` in each tree, this checkout's src/ and REV's, in one
 fresh process per tree.  The list covers every subcommand, integral,
-rational and 5-scaled curves, and usage errors.  Prints how many argv ran
-and the first whose exit code, stdout or stderr differs, and exits 1 if
-any argv differs, 0 if none does.  Nothing is written into the checkout,
+rational and 5-scaled curves, MOD2 at ramified, huge and complex X0, and
+usage errors.  Prints how many argv ran and every argv whose exit code,
+stdout or stderr differs, naming which of the three, and exits 1 if any
+argv differs, 0 if none does.  Nothing is written into the checkout,
 and the temporary directory is removed.
 """
 
@@ -94,11 +95,18 @@ def argvs():
         ["j", "0.1+1.1i"], ["j", "-0.3+0.5i", "--precision-bits", "256"],
         ["axiom", "mod1", "--n", "2", "--trials", "5", "--seed", "7"],
         ["axiom", "mod1", "--n", "3", "--trials", "3"],
-        ["axiom", "mod2", "--n", "2", "--X0", "1728"],
         ["axiom", "mod2", "--n", "3", "--X0", "5+2i"],
+        ["axiom", "mod2", "--n", "2", "--X0", "1728", "--precision-bits",
+         "256"],
         ["axiom", "sp", "--D", "-1", "--x", "0", "--y", "1"],
         ["axiom", "sf", "--N", "6"],
     ]
+    # MOD2 at the ramified values, where the fiber has multiple roots, at
+    # huge X0 and off the real line
+    for n in ("2", "3"):
+        for x0 in ("0", "1728", "-3375", "8000", "1e60", "1e300",
+                   "-3200.5+870.2i"):
+            out.append(["axiom", "mod2", "--n", n, f"--X0={x0}"])
     # usage errors (exit 2) and refusals
     out += [
         [], ["frobenius"], ["frobenius", "[1,2,3]", "--upto", "50"],
@@ -146,11 +154,11 @@ def main():
     if not differ:
         print("no difference")
         return 0
-    i = differ[0]
-    parts = [name for name, a, b in zip(("exit code", "stdout", "stderr"),
-                                        ours[i], theirs[i]) if a != b]
-    print(f"{len(differ)} differ; first: {json.dumps(argv_list[i])} "
-          f"({', '.join(parts)})")
+    print(f"{len(differ)} differ:")
+    for i in differ:
+        parts = [name for name, a, b in zip(("exit code", "stdout", "stderr"),
+                                            ours[i], theirs[i]) if a != b]
+        print(f"{json.dumps(argv_list[i])} ({', '.join(parts)})")
     return 1
 
 
