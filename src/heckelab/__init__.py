@@ -7,7 +7,9 @@ points (moebius), orders of subgroups of SL2(Z/N) from their generators
 (hecke), certified q-series evaluation of j (jfunction), seeded axiom
 checks (axioms), Frobenius sampling, mod-p image certificates and the
 lifting check mod p^2 (galois), index reports (typecount), and a JSON
-batch CLI (cli).
+batch CLI (cli).  mpmath is imported inside the functions that use it,
+so importing the package, and every CLI command but `j` and `axiom
+mod1`/`mod2`/`sp`, leaves it unloaded.
 """
 
 from .axioms import AxiomReport, check_mod1, check_mod2, check_sf, check_sp

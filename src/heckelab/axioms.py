@@ -11,11 +11,8 @@ the finite coset action under S and T.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from itertools import permutations
-
-import mpmath
 
 from .congruence import MAX_LEVEL, sl2_order, subgroup_order
 from .errors import IllConditioned, LevelTooLarge, NoConvergence, PrecisionExhausted
@@ -62,6 +59,9 @@ def check_mod1(n: int, trials: int = 20, tol: float = 1e-6, seed: int = 0,
     `phi` can be overridden to validate the harness against a corrupted
     polynomial; by default the computed Phi_n is used.
     """
+    import random
+    import mpmath
+
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if trials > MAX_TRIALS:
@@ -112,6 +112,7 @@ def _optimal_match(dist: list) -> tuple[float, tuple]:
 def check_mod2(n: int, X0, tol: float = 1e-4, seed: int | None = None,
                ctx: QSeriesContext = DEFAULT_CTX) -> AxiomReport:
     """Fiber of Phi_n over X0 vs the coset-image multiset at invert_j(X0)."""
+    import mpmath
     params = {"n": n, "X0": _cplx(mpmath.mpc(X0)), "tol": tol}
     try:
         phi = modular_polynomial(n)

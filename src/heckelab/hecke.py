@@ -18,8 +18,6 @@ from functools import lru_cache
 from math import gcd, isqrt
 from types import MappingProxyType
 
-import mpmath
-
 from .errors import IllConditioned, NotSquarefree, PrecisionExhausted
 from .moebius import RatMatrix, factor, is_squarefree
 from .qexp import j_power_coefficients, series_mul
@@ -146,6 +144,7 @@ def _dyadic(z) -> tuple:
     complex or mpmath number."""
     if isinstance(z, int):
         return z, 0, 0
+    import mpmath
     z = mpmath.mpmathify(z)
     parts = z._mpc_ if hasattr(z, "_mpc_") else (z._mpf_, mpmath.libmp.fzero)
     if any(not man and exp for _, man, exp, _ in parts):
@@ -184,9 +183,11 @@ def modular_polynomial(n: int) -> ModularPolynomial:
     e_k has a pole of order at most n*k and is an integer polynomial in j.
     Any inexact division or nonzero remainder raises PrecisionExhausted.
     """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     if n == 1:
         return ModularPolynomial.from_map(1, {(1, 0): 1, (0, 1): -1})
-    if n > 1 and not is_squarefree(n):
+    if not is_squarefree(n):
         raise NotSquarefree(f"n={n} is not squarefree")
     if n not in (2, 3):
         raise ValueError("only n in {1,2,3} is computed here")
@@ -238,6 +239,7 @@ def correspondence_fiber(phi: ModularPolynomial, X0, starts,
     roots (MOD2 passes the coset images).  They only steer the iteration:
     the roots come from Phi alone, and each must pass Phi's residual gate.
     """
+    import mpmath
     with mpmath.workprec(prec_bits):
         X0 = mpmath.mpc(X0)
         coeffs = phi.y_coefficients_at(X0)

@@ -23,8 +23,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import exp, floor, log, pi, sqrt, ulp
 
-import mpmath
-
 from .errors import NoConvergence, PrecisionExhausted
 from .moebius import CMPoint, NumericPoint, RatMatrix, act
 from .qexp import DEFAULT_TERMS, j_coefficients
@@ -66,6 +64,7 @@ def _reduce(re, im, prec: int):
     z moves at prec + 20 bits and the result is rounded to prec bits; gamma
     is four ints, updated in place of a matrix product at every step.
     """
+    import mpmath
     with mpmath.workprec(prec + 20):
         z = mpmath.mpc(re, im)
         a, b, c, d = 1, 0, 0, 1
@@ -124,6 +123,7 @@ def _horner(coeffs, q: mpmath.mpc, bits: int) -> mpmath.mpc:
     c_0, c_1, ... being positive, sum_m m c_m r^(m-1) < 4.4e5 < 2^19 at
     every length, so the error is under 2^(20-bits).
     """
+    import mpmath
     qr = int(mpmath.ldexp(q.real, bits))
     qi = int(mpmath.ldexp(q.imag, bits))
     vr = vi = 0
@@ -136,6 +136,7 @@ def _horner(coeffs, q: mpmath.mpc, bits: int) -> mpmath.mpc:
 @lru_cache(maxsize=None)
 def _tail_constants(K: int, prec: int) -> tuple:
     """(e^{2 pi / sqrt(K)}, e^{4 pi sqrt(K)}) at prec bits."""
+    import mpmath
     with mpmath.workprec(prec):
         return (mpmath.exp(2 * mpmath.pi / mpmath.sqrt(K)),
                 mpmath.exp(4 * mpmath.pi * mpmath.sqrt(K)))
@@ -156,6 +157,7 @@ def _terms(ctx: QSeriesContext) -> int:
 
 def _series_eval(z: mpmath.mpc, ctx: QSeriesContext):
     """(value, tail bound) of the q-expansion at a reduced point."""
+    import mpmath
     K = _terms(ctx)
     q = mpmath.exp(2j * mpmath.pi * z)
     absq = abs(q)
@@ -177,6 +179,7 @@ def _series_eval(z: mpmath.mpc, ctx: QSeriesContext):
 
 def j(tau, ctx: QSeriesContext = DEFAULT_CTX) -> JResult:
     """j(tau) with an honest absolute error bound."""
+    import mpmath
     with mpmath.workprec(ctx.prec_bits + 40):
         if isinstance(tau, CMPoint):
             _, red = reduce_fundamental_exact(tau)
@@ -197,6 +200,7 @@ def _agm(x, y):
     |x - y| <= |x + y| throughout; the sequence then converges
     quadratically for any complex start (Cremona and Thongjunthug).
     """
+    import mpmath
     prec = mpmath.mp.prec
     for _ in range(prec):
         if abs(x - y) > abs(x + y):
@@ -221,6 +225,7 @@ def invert_j(X0, ctx: QSeriesContext = DEFAULT_CTX) -> NumericPoint:
     j(tau) is then compared with X0; that second computation alone
     decides the answer.
     """
+    import mpmath
     prec = ctx.prec_bits
     with mpmath.workprec(prec + 40 + max(0, mpmath.mag(X0))):
         X0 = mpmath.mpc(X0)

@@ -17,8 +17,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-import mpmath
-
 from .errors import NotElliptic
 
 _FRAC_RE = _re.compile(r"-?\d+(?:/\d+)?")
@@ -207,6 +205,7 @@ class CMPoint:
         return (-2 * self.x, self.x * self.x - self.y * self.y * self.D)
 
     def to_mpc(self, prec_bits: int = 64) -> mpmath.mpc:
+        import mpmath
         with mpmath.workprec(prec_bits + 10):
             re = mpmath.mpf(self.x.numerator) / self.x.denominator
             im = (mpmath.mpf(self.y.numerator) / self.y.denominator) * mpmath.sqrt(-self.D)
@@ -227,6 +226,7 @@ class NumericPoint:
     def __post_init__(self):
         if self.prec_bits < 64:
             raise ValueError("working precision below 64 bits")
+        import mpmath
         with mpmath.workprec(self.prec_bits):
             object.__setattr__(self, "re", mpmath.mpf(self.re))
             object.__setattr__(self, "im", mpmath.mpf(self.im))
@@ -234,6 +234,7 @@ class NumericPoint:
             raise ValueError("point must lie in the upper half-plane (im > 0)")
 
     def value(self) -> mpmath.mpc:
+        import mpmath
         return mpmath.mpc(self.re, self.im)
 
 
@@ -275,19 +276,15 @@ def act(g: RatMatrix, tau):
         y1 = (q * r - p * s) / den
         return CMPoint(tau.D, x1, y1)
     if isinstance(tau, NumericPoint):
+        import mpmath
         prec = tau.prec_bits
         with mpmath.workprec(prec + 20):
+            a, b, c, d = (mpmath.mpf(e.numerator) / e.denominator
+                          for e in g.entries())
             z = tau.value()
-            num = _to_mpf(g.a, prec) * z + _to_mpf(g.b, prec)
-            den = _to_mpf(g.c, prec) * z + _to_mpf(g.d, prec)
-            w = num / den
+            w = (a * z + b) / (c * z + d)
         return NumericPoint(w.real, w.imag, prec)
     raise TypeError(f"cannot act on {type(tau).__name__}")
-
-
-def _to_mpf(x: Fraction, prec_bits: int) -> mpmath.mpf:
-    with mpmath.workprec(prec_bits + 20):
-        return mpmath.mpf(x.numerator) / x.denominator
 
 
 def fixed_point(g: RatMatrix) -> CMPoint:

@@ -105,14 +105,20 @@ def test_axiom_mod1_without_trials_is_usage_error(trials, capsys):
     assert "trials must be at least 1" in captured.err
 
 
-def _cli_process(argv):
-    """The CLI run in a fresh process, killed after 30 s."""
+def _src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(os.path.dirname(__file__), "..", "src")]
         + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def _cli_process(argv):
+    """The CLI run in a fresh process, killed after 30 s."""
     return subprocess.run([sys.executable, "-m", "heckelab.cli", *argv],
-                          env=env, capture_output=True, text=True, timeout=30)
+                          env=_src_env(), capture_output=True, text=True,
+                          timeout=30)
 
 
 def test_axiom_mod1_too_many_trials_exits_2_at_once():
@@ -192,15 +198,50 @@ def test_cold_request_builds_the_j_series_once(argv, monkeypatch, capsys):
 
 
 def test_cli_import_leaves_out_numpy():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(os.path.dirname(__file__), "..", "src")]
-        + [p for p in [env.get("PYTHONPATH")] if p])
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, heckelab.cli; print('numpy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True).stdout
+        env=_src_env(), capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+# Every subcommand but `j` and `axiom mod1/mod2/sp` is exact integer work,
+# and a fresh process running one of them never imports mpmath.
+EXACT_ARGVS = [
+    ["frobenius", "[0,0,1,-1,0]", "--upto", "100"],
+    ["image", "[0,0,1,-1,0]", "--p", "5"],
+    ["goursat", "[0,-1,1,0,0]", "[0,0,1,-1,0]", "--p", "7"],
+    ["types", "--curve", "[0,0,1,-1,0]", "--level", "5"],
+    ["types", "--gens", "[[[1,1],[0,1]],[[1,0],[1,1]]]", "--level", "6"],
+    ["lifting", "--p", "5"],
+    ["axiom", "sf", "--N", "6"],
+    ["hecke-cosets", "6"],
+    ["modpoly", "2"],
+    ["special", "point", "--D", "-3", "--x", "1/2", "--y", "1/2"],
+    ["special", "matrix", "--m", "[[0,-1],[1,0]]"],
+]
+
+FOOTPRINT = """
+import contextlib, io, json, sys
+from heckelab import cli
+loaded = []
+for argv in json.loads(sys.argv[1]) + [["j", "0.1+1.1i"]]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    loaded.append([argv[0], code, "mpmath" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_only_the_numeric_commands_import_mpmath():
+    done = subprocess.run([sys.executable, "-c", FOOTPRINT,
+                           json.dumps(EXACT_ARGVS)],
+                          env=_src_env(), capture_output=True, text=True,
+                          timeout=60, check=True)
+    rows = json.loads(done.stdout)
+    assert [code for _, code, _ in rows] == [0] * len(rows), done.stderr
+    assert [loaded for _, _, loaded in rows[:-1]] == [False] * len(EXACT_ARGVS)
+    assert rows[-1] == ["j", 0, True]
 
 
 M127 = str(2 ** 127 - 1)  # a prime with no factor in reach of trial division
@@ -391,6 +432,19 @@ def test_modpoly_not_squarefree_says_so(n, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: n={n} is not squarefree\n"
+
+
+@pytest.mark.parametrize("argv, n", [
+    (["modpoly", "0"], 0),
+    (["modpoly", "-1"], -1),
+    (["axiom", "mod1", "--n", "-1"], -1),
+    (["axiom", "mod2", "--n", "0", "--X0", "5"], 0),
+])
+def test_nonpositive_n_says_so(argv, n, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: n must be positive, got {n}\n"
 
 
 def test_types_and_lifting_never_close_at_the_full_level(monkeypatch,

@@ -9,10 +9,12 @@ six fixed seeded curves, as microseconds per prime of good reduction in
 the ell bins of BINS, a `frobenius_sample(curve, 2000)` per curve with the
 trace cache cleared first, and the same sample served from a filled cache
 to a curve parsed again from its text on every call, as a long-lived
-caller's repeated request is.  Every (round, tree) is measured in a
-fresh spawned process, one at a time, and the trees alternate which goes
-first from round to round, so a parent checkout given as a second --src
-is timed the same way and under the same host conditions.  Each figure
+caller's repeated request is.  Each round spawns one fresh worker
+process per tree; each (method, bin), the cold samples and the cache hits
+are then timed tree after tree, the order alternating from one of these
+jobs to the next and from round to round, so both trees' figures for a
+bin are taken moments apart, under the same host conditions.  A tree may
+be given twice, to see the spread on identical code.  Each figure
 written is the median over rounds.  The JSON (default BENCH_count.json at
 the root of the checkout) records nproc, the Python version and each
 tree's git commit, the trees in --src order.
@@ -61,49 +63,100 @@ def _curves(galois):
     return curves
 
 
-def measure(src, bins=BINS):
-    """One round on the heckelab under `src`, run in a fresh process."""
+# Worker side: each spawned worker serves one tree for one round.
+_TREE = {}
+
+
+def _setup(src):
+    """Import the heckelab under `src`, list the (curve, ell) of every bin
+    and warm the interpreter; return the curves as text."""
     sys.path.insert(0, src)
     from heckelab import galois
     if not galois.__file__.startswith(os.path.abspath(src)):
         raise RuntimeError(f"heckelab resolved to {galois.__file__}")
     curves = _curves(galois)
     pairs = {}
-    for lo, hi in bins:
+    for lo, hi in BINS:
         ells = [ell for ell in galois.primes_upto(hi - 1) if ell >= lo]
         pairs[lo, hi] = [(c, ell) for c in curves for ell in ells
                          if c.discriminant().numerator % ell]
-    for c, ell in pairs[bins[0]][:20]:  # warm the interpreter and imports
+    for c, ell in pairs[BINS[0]][:20]:  # warm the interpreter and imports
         for method in METHODS:
             galois.count_points(c, ell, method)
-    per_prime = {}
-    for method in METHODS:
-        per_prime[method] = {}
-        for (lo, hi), todo in pairs.items():
-            t0 = time.perf_counter()
-            for c, ell in todo:
-                galois.count_points(c, ell, method)
-            per_prime[method][f"{lo}-{hi}"] = \
-                (time.perf_counter() - t0) / len(todo) * 1e6
-    sample_ms = []
-    for c in curves:
+    _TREE.update(galois=galois, curves=curves, pairs=pairs)
+    return [str(c) for c in curves]
+
+
+def _per_prime_us(method, lo, hi):
+    galois, todo = _TREE["galois"], _TREE["pairs"][lo, hi]
+    t0 = time.perf_counter()
+    for c, ell in todo:
+        galois.count_points(c, ell, method)
+    return (time.perf_counter() - t0) / len(todo) * 1e6
+
+
+def _sample_ms():
+    """Mean over the curves of one frobenius_sample from a cleared cache."""
+    galois, out = _TREE["galois"], []
+    for c in _TREE["curves"]:
         galois._a_ell.cache_clear()
         t0 = time.perf_counter()
         galois.frobenius_sample(c, SAMPLE_BOUND)
-        sample_ms.append((time.perf_counter() - t0) * 1e3)
-    hit_ms = []
-    for c in curves:
+        out.append((time.perf_counter() - t0) * 1e3)
+    return statistics.mean(out)
+
+
+def _hit_ms():
+    """Mean over the curves of a cache-served sample of a re-parsed curve."""
+    galois, out = _TREE["galois"], []
+    for c in _TREE["curves"]:
         text = str(c)
         galois.frobenius_sample(galois.parse_curve(text), SAMPLE_BOUND)
         t0 = time.perf_counter()
         for _ in range(HIT_CALLS):
             galois.frobenius_sample(galois.parse_curve(text), SAMPLE_BOUND)
-        hit_ms.append((time.perf_counter() - t0) / HIT_CALLS * 1e3)
+        out.append((time.perf_counter() - t0) / HIT_CALLS * 1e3)
     galois._a_ell.cache_clear()
-    return {"per_prime_us": per_prime,
-            "frobenius_sample_ms": statistics.mean(sample_ms),
-            "frobenius_hit_ms": statistics.mean(hit_ms),
-            "curves": [str(c) for c in curves]}
+    return statistics.mean(out)
+
+
+def _awake():
+    """A no-op: one round trip to a worker just before its timed job."""
+
+
+# (where the result goes, function, arguments), in the order timed
+JOBS = ([((m, f"{lo}-{hi}"), _per_prime_us, (m, lo, hi))
+         for m in METHODS for lo, hi in BINS]
+        + [("frobenius_sample_ms", _sample_ms, ()),
+           ("frobenius_hit_ms", _hit_ms, ())])
+
+
+def measure_round(srcs, r):
+    """One round: a fresh spawned worker per tree, then every job of JOBS
+    timed tree after tree, the order alternating with the job and round.
+    Returns one result per tree, in `srcs` order."""
+    spawn = get_context("spawn")
+    pools = [ProcessPoolExecutor(1, mp_context=spawn) for _ in srcs]
+    try:
+        out = [{"curves": pool.submit(_setup, src).result(),
+                "per_prime_us": {m: {} for m in METHODS}}
+               for pool, src in zip(pools, srcs)]
+        trees = range(len(srcs))
+        for i, (key, fn, args) in enumerate(JOBS):
+            for t in trees if (r + i) % 2 == 0 else trees[::-1]:
+                # without this round trip, whichever tree went first read
+                # up to 1.7x slower than the other on bins of 1-50 ms
+                pools[t].submit(_awake).result()
+                value = pools[t].submit(fn, *args).result()
+                if isinstance(key, tuple):
+                    method, b = key
+                    out[t]["per_prime_us"][method][b] = value
+                else:
+                    out[t][key] = value
+    finally:
+        for pool in pools:
+            pool.shutdown()
+    return out
 
 
 def crossover(src, reps, bins=CROSSOVER_BINS):
@@ -149,11 +202,6 @@ def _commit(src):
     return out.stdout.strip()
 
 
-def _in_fresh_process(src):
-    with ProcessPoolExecutor(1, mp_context=get_context("spawn")) as pool:
-        return pool.submit(measure, src).result()
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", action="append",
@@ -169,12 +217,12 @@ def main():
             print(f"[{b}) bsgs/exhaustive {ratio:.3f}, bsgs faster at "
                   f"{faster} of {n} primes")
         return
-    runs = {src: [] for src in srcs}
+    runs = [[] for _ in srcs]  # by index, so a tree may be given twice
     for r in range(args.rounds):
-        for src in srcs if r % 2 == 0 else srcs[::-1]:
-            runs[src].append(_in_fresh_process(src))
+        for rounds, result in zip(runs, measure_round(srcs, r)):
+            rounds.append(result)
     trees = []
-    for src, rounds in runs.items():
+    for src, rounds in zip(srcs, runs):
         per_prime = {m: {b: statistics.median(x["per_prime_us"][m][b]
                                               for x in rounds)
                          for b in rounds[0]["per_prime_us"][m]}
@@ -195,7 +243,7 @@ def main():
                           "python": platform.python_version(),
                           "platform": platform.machine()},
               "rounds": args.rounds,
-              "curves": runs[srcs[0]][0]["curves"],
+              "curves": runs[0][0]["curves"],
               "sample_bound": SAMPLE_BOUND,
               "trees": trees}  # in --src order
     with open(args.out, "w") as fh:

@@ -119,7 +119,9 @@ def argvs():
         ["goursat", "[0,0,1,-1,0]", "[0,0,0,0,0]", "--p", "5"],
         ["types", "--level", "5"],
         ["lifting", "--p", "4"],
-        ["modpoly", "x"],
+        ["modpoly", "x"], ["modpoly", "0"], ["modpoly", "-1"],
+        ["axiom", "mod1", "--n", "-1"],
+        ["axiom", "mod2", "--n", "0", "--X0", "5"],
         ["j", "0.1-1i"],
         ["j", "0.1+1i", "--precision-bits", "32"],
         ["axiom", "mod1", "--n", "2", "--trials", "0"],
