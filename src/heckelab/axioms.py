@@ -20,9 +20,9 @@ from .hecke import correspondence_fiber, double_coset_reps, modular_polynomial
 from .jfunction import DEFAULT_CTX, QSeriesContext, invert_j, j
 from .moebius import CMPoint, NumericPoint, act, fixed_point, special_witness
 
-# one MOD1 trial evaluates j twice: about 0.9 ms at 128 bits and 0.7-0.85 s
-# at the CLI's 8192-bit cap (n = 1, 2, 3; CPython 3.11, 2-core x86-64 VM),
-# so the most trials cost under a minute at any accepted precision
+# one MOD1 trial evaluates j twice: 0.6-1.1 ms at 128 bits, 0.43-0.58 s at the
+# CLI's 8192-bit cap (n = 1 to 7; CPython 3.11, 2-core x86-64 VM); 64 trials at
+# n = 7 and 8192 bits took 36 s, under a minute at any accepted precision
 MAX_TRIALS = 64
 
 
@@ -96,17 +96,10 @@ def check_mod1(n: int, trials: int = 20, tol: float = 1e-6, seed: int = 0,
 
 def _optimal_match(dist: list) -> tuple[float, tuple]:
     """Perfect matching minimizing the worst entry of the distance table,
-    dist[i][k] between left i and right k (brute force; the multisets
-    here have at most psi(3) = 4 entries)."""
-    best = None
-    best_perm = None
-    for perm in permutations(range(len(dist))):
-        worst = 0.0
-        for row, k in zip(dist, perm):
-            worst = max(worst, row[k])
-        if best is None or worst < best:
-            best, best_perm = worst, perm
-    return best, best_perm
+    dist[i][k] between left i and right k, by brute force over the psi(n)!
+    pairings (at most 8! = 40320, by `hecke.MAX_PSI`); ties keep the first."""
+    return min((max([0.0] + [row[k] for row, k in zip(dist, perm)]), perm)
+               for perm in permutations(range(len(dist))))
 
 
 def check_mod2(n: int, X0, tol: float = 1e-4, seed: int | None = None,

@@ -35,6 +35,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .galois import (
+    CERTIFIABLE_PRIMES,
     certify_goursat_pair,
     certify_mod_p_image,
     frobenius_sample,
@@ -345,6 +346,9 @@ def _run_types(args):
             raise LevelTooLarge(f"N={args.level} exceeds the level bound "
                                 f"{MAX_LEVEL}")
         subject = _parse_gens(args.gens)
+    elif len(args.curve) in (1, 2) and args.level not in CERTIFIABLE_PRIMES:
+        raise ValueError(f"--level must be in {CERTIFIABLE_PRIMES} with "
+                         f"--curve, got {args.level}")
     elif len(args.curve) == 1:
         subject = parse_curve(args.curve[0])
     elif len(args.curve) == 2:

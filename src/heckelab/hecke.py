@@ -7,6 +7,7 @@ off the integer powers of the j-series, Newton's identities turn them into
 the elementary symmetric functions (the Y-coefficients of Phi_n), and each
 of those is peeled against powers of j into an integer polynomial in X.
 Every division must be exact and every peeled remainder exactly zero.
+Phi_n is built for squarefree n with psi(n) <= MAX_PSI, n in {1, 2, 3, 5, 7}.
 The residual of Phi_n at a numeric point is exact as well: the point is
 read as dyadic Gaussian integers, and only the final quotient is rounded.
 """
@@ -25,6 +26,11 @@ from .qexp import j_power_coefficients, series_mul
 # positive q-exponents beyond the pole on which every peeled remainder of a
 # Y-coefficient is checked to vanish
 _CHECK_TERMS = 12
+
+# Phi_n for squarefree n with psi(n) <= MAX_PSI (n = 1, 2, 3, 5, 7): cold,
+# Phi_7 takes 0.3-0.5 s, Phi_6 0.7 s, Phi_11 8 s, Phi_13 34 s (2 cores,
+# CPython 3.11), and MOD2 tries all psi(n)! pairings: 8! but 12! at n = 6
+MAX_PSI = 8
 
 
 def psi(n: int) -> int:
@@ -176,8 +182,8 @@ def _power_sums(n: int, deg: int, top: int, K: int) -> list:
 
 @lru_cache(maxsize=None)
 def modular_polynomial(n: int) -> ModularPolynomial:
-    """Phi_n with exact integer coefficients; n in {1,2,3} computed directly,
-    once per process.
+    """Phi_n with exact integer coefficients, for squarefree n with
+    psi(n) <= MAX_PSI, computed once per process.
 
     Phi_n(j, Y) = prod over reps (Y - j(rep tau)) = sum_k (-1)^k e_k Y^(deg-k).
     e_k has a pole of order at most n*k and is an integer polynomial in j.
@@ -189,9 +195,10 @@ def modular_polynomial(n: int) -> ModularPolynomial:
         return ModularPolynomial.from_map(1, {(1, 0): 1, (0, 1): -1})
     if not is_squarefree(n):
         raise NotSquarefree(f"n={n} is not squarefree")
-    if n not in (2, 3):
-        raise ValueError("only n in {1,2,3} is computed here")
     deg = psi(n)
+    if deg > MAX_PSI:
+        raise ValueError(f"Phi_{n} is not computed here: psi({n}) = {deg}, "
+                         f"above {MAX_PSI}")
     # Newton's step k multiplies e_(k-i) by p_i, losing n*i exponents; this
     # top leaves every e_k exact through at least q^(_CHECK_TERMS + n)
     top = _CHECK_TERMS + n * deg

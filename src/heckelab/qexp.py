@@ -7,7 +7,7 @@ leading 1/q split off) in one series-division pass; Delta/q has constant
 term 1, so every coefficient is an exact integer.  The tests
 check Delta against the independent identity E4^3 - E6^2 = 1728*Delta.
 Every length of the j-series is read as a prefix of one table, which is
-rebuilt only when a longer one is asked for.
+rebuilt only when a longer one is asked for; j^M is j^(M-1) * j.
 """
 
 from __future__ import annotations
@@ -28,19 +28,6 @@ def series_mul(f: list, g: list, K: int) -> list:
             if gj:
                 out[i + j] += fi * gj
     return out
-
-
-def series_pow(f: list, e: int, K: int) -> list:
-    """f**e truncated to K terms, by binary powering."""
-    result = None
-    base = list(f[:K]) + [0] * max(0, K - len(f))
-    while e:
-        if e & 1:
-            result = base if result is None else series_mul(result, base, K)
-        e >>= 1
-        if e:
-            base = series_mul(base, base, K)
-    return [1] + [0] * (K - 1) if result is None else result
 
 
 def sigma(n: int, k: int) -> int:
@@ -86,7 +73,8 @@ _qj_table: list = []
 def _qj_series(n: int) -> list:
     """q*j = E4^3 / (Delta/q) to n terms, by one series division: Delta/q
     has constant term 1, so each coefficient is exact."""
-    out = series_pow(eisenstein4(n), 3, n)
+    e4 = eisenstein4(n)
+    out = series_mul(series_mul(e4, e4, n), e4, n)
     g = delta_over_q(n)
     for t in range(1, n):
         out[t] -= sum(map(mul, g[1:t + 1], out[t - 1::-1]))
@@ -108,10 +96,10 @@ def j_coefficients(K: int) -> tuple:
 def j_power_coefficients(M: int, K: int) -> tuple:
     """Coefficients of j^M from q^{-M} through q^{K-1}, exact.
 
-    Entry t is the coefficient of q^{t-M}; j^0 = 1.
+    Entry t is the coefficient of q^{t-M}.  j^M is j^(M-1), one term longer,
+    times j, so the powers one Phi_n reads (M + K fixed) share one chain.
     """
     if M == 0:
         return tuple([1] + [0] * (K - 1))
-    qj = list(j_coefficients(K + M - 1))  # (q*j) to enough terms
-    prod = series_pow(qj, M, K + M)
-    return tuple(prod)
+    return tuple(series_mul(j_power_coefficients(M - 1, K + 1),
+                            j_coefficients(K + M - 1), K + M))

@@ -6,7 +6,7 @@ from heckelab import axioms, hecke
 from heckelab.axioms import AxiomReport, check_mod1, check_mod2, check_sf, check_sp
 from heckelab.congruence import sl2_order
 from heckelab.errors import LevelTooLarge
-from heckelab.hecke import ModularPolynomial, modular_polynomial
+from heckelab.hecke import ModularPolynomial, modular_polynomial, psi
 from heckelab.jfunction import QSeriesContext, j
 from heckelab.moebius import CMPoint, NumericPoint
 
@@ -66,6 +66,28 @@ def test_mod1_corrupted_phi_fails_with_witness():
     assert set(w) == {"trial", "tau", "residual"}
     assert w["residual"] >= 1e-6
     assert 0.9 <= w["tau"][1] <= 2.0
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_mod1_and_mod2_pass_at_5_and_7(n):
+    rep = check_mod1(n, trials=4, seed=n, ctx=CTX)
+    assert rep.verdict == "pass"
+    assert rep.max_residual < 1e-40
+    for x0 in (5000, 0, 1728, complex(-3200.5, 870.2)):
+        rep = check_mod2(n, x0, ctx=CTX)
+        assert rep.verdict == "pass", x0
+        assert rep.trials == len(rep.witnesses) == psi(n)
+
+
+def test_mod1_phi5_one_coefficient_off_fails():
+    # X^5 Y^5 is at the scale of the largest monomial wherever |y| >> |x|
+    bad = dict(modular_polynomial(5).coeffs)
+    bad[(5, 5)] += 1
+    rep = check_mod1(5, trials=6, seed=0, ctx=CTX,
+                     phi=ModularPolynomial.from_map(5, bad))
+    assert rep.verdict == "fail"
+    assert rep.max_residual > 1e-3
+    assert len(rep.witnesses) == 6
 
 
 def test_mod1_seed_reproducible():

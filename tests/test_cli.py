@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from heckelab import cli, galois, qexp
 from heckelab.congruence import sl2_order
 from heckelab.errors import OrderAmbiguous
+from heckelab.hecke import psi
 
 
 def _not_json(token):
@@ -114,11 +115,11 @@ def _src_env():
     return env
 
 
-def _cli_process(argv):
-    """The CLI run in a fresh process, killed after 30 s."""
+def _cli_process(argv, timeout=30):
+    """The CLI run in a fresh process, killed after `timeout` seconds."""
     return subprocess.run([sys.executable, "-m", "heckelab.cli", *argv],
                           env=_src_env(), capture_output=True, text=True,
-                          timeout=30)
+                          timeout=timeout)
 
 
 def test_axiom_mod1_too_many_trials_exits_2_at_once():
@@ -128,6 +129,19 @@ def test_axiom_mod1_too_many_trials_exits_2_at_once():
     assert done.stdout == ""
     assert "Traceback" not in done.stderr
     assert "trials must be at most" in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["axiom", "mod2", "--n", "6", "--X0", "5"],
+    ["axiom", "mod1", "--n", "6"],
+])
+def test_axiom_beyond_the_psi_bound_exits_2_at_once(argv):
+    # MOD2 would try all 12! pairings of the fiber at n = 6
+    done = _cli_process(argv, timeout=10)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert done.stderr == ("error: Phi_6 is not computed here: psi(6) = 12, "
+                           "above 8\n")
 
 
 def test_axiom_mod2(capsys):
@@ -434,6 +448,38 @@ def test_modpoly_not_squarefree_says_so(n, capsys):
     assert captured.err == f"error: n={n} is not squarefree\n"
 
 
+@pytest.mark.parametrize("n", [5, 7])
+def test_modpoly_5_and_7(n, capsys):
+    code, doc = run(capsys, ["modpoly", str(n)])
+    assert code == 0
+    rep = doc["report"]
+    assert rep["degX"] == rep["degY"] == n + 1
+    assert rep["symmetric"] is True
+    assert [n + 1, 0, 1] in rep["coefficients"]
+
+
+@pytest.mark.parametrize("n", [6, 10, 11])
+def test_modpoly_beyond_the_psi_bound_says_so(n, capsys):
+    assert cli.main(["modpoly", str(n)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: Phi_{n} is not computed here: "
+                            f"psi({n}) = {psi(n)}, above 8\n")
+
+
+@pytest.mark.parametrize("level", ["0", "4"])
+@pytest.mark.parametrize("curves", [1, 2])
+def test_types_curve_names_the_level(level, curves, capsys):
+    argv = ["types", "--level", level]
+    for c in _CURVES[:curves]:
+        argv += ["--curve", c]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --level must be in (5, 7, 11, 13) with "
+                            f"--curve, got {level}\n")
+
+
 @pytest.mark.parametrize("argv, n", [
     (["modpoly", "0"], 0),
     (["modpoly", "-1"], -1),
@@ -659,10 +705,10 @@ _COMMANDS = {  # path: [(option, or None for a positional; valid values)]
                            ("--y", ["1", "1/2"])],
     ("special", "matrix"): [("--m", ["[[0,-1],[1,0]]", "[[2,1],[1,1]]"])],
     ("hecke-cosets",): [(None, ["2", "6"])],
-    ("modpoly",): [(None, ["2", "3"])],
+    ("modpoly",): [(None, ["2", "3", "5", "7"])],
     ("j",): [(None, ["0+1i", "-0.3+0.5i"])],
-    ("axiom", "mod1"): [("--n", ["2"]), ("--trials", ["1", "2"])],
-    ("axiom", "mod2"): [("--n", ["2"]), ("--X0", ["1728", "-100+3i"])],
+    ("axiom", "mod1"): [("--n", ["2", "5"]), ("--trials", ["1", "2"])],
+    ("axiom", "mod2"): [("--n", ["2", "5"]), ("--X0", ["1728", "-100+3i"])],
     ("axiom", "sp"): [("--D", ["-3", "-1"]), ("--x", ["0", "1/2"]),
                       ("--y", ["1", "1/2"])],
     ("axiom", "sf"): [("--N", ["5", "12"])],

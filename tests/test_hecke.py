@@ -4,7 +4,7 @@ import random
 import mpmath
 import pytest
 
-from heckelab import hecke
+from heckelab import hecke, qexp
 from heckelab.errors import IllConditioned, NotSquarefree, PrecisionExhausted
 from heckelab.hecke import (
     ModularPolynomial,
@@ -206,9 +206,70 @@ def test_shared_phi_is_read_only():
     assert phi.coeffs == PHI2_CLASSICAL
 
 
+def test_corrupted_j_fails_phi5_exact_check(monkeypatch):
+    # one wrong coefficient of j (q^3) in the shared table: every power of
+    # j is built from it, and Phi_5's divisions or remainders still see it
+    real = qexp._qj_series
+
+    def corrupted(n):
+        out = real(n)
+        out[4] += 1
+        return out
+
+    caches = (qexp.j_coefficients, qexp.j_power_coefficients,
+              modular_polynomial)
+    monkeypatch.setattr(qexp, "_qj_series", corrupted)
+    monkeypatch.setattr(qexp, "_qj_table", [])
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        assert qexp.j_coefficients(4)[4] == 864299970 + 1
+        with pytest.raises(PrecisionExhausted):
+            modular_polynomial(5)
+    finally:
+        for cache in caches:  # nothing built from the bad table survives
+            cache.cache_clear()
+
+
 def test_modpoly_unsupported_level():
-    with pytest.raises(ValueError):
-        modular_polynomial(5)
+    # psi(6) = psi(11) = 12, psi(10) = 18: above hecke.MAX_PSI = 8
+    for n in (6, 10, 11):
+        with pytest.raises(ValueError, match=f"psi\\({n}\\) = {psi(n)}, "
+                                             "above 8"):
+            modular_polynomial(n)
+    with pytest.raises(NotSquarefree):
+        modular_polynomial(4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+def test_phi_degrees_are_psi_and_symmetric(n):
+    phi = modular_polynomial(n)
+    assert phi.degX == phi.degY == psi(n)
+    assert phi.is_symmetric() == (n > 1)  # Phi_1 = X - Y is antisymmetric
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_kronecker_congruence(p):
+    # Phi_p = (X^p - Y)(X - Y^p) = X^(p+1) - X^p Y^p - X Y + Y^(p+1) mod p
+    phi = modular_polynomial(p)
+    want = {(p + 1, 0): 1, (p, p): -1, (1, 1): -1, (0, p + 1): 1}
+    for i in range(p + 2):
+        for k in range(p + 2):
+            assert (phi.coefficient(i, k) - want.get((i, k), 0)) % p == 0
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_phi_vanishes_at_mpmath_kleinj(p):
+    # mpmath's kleinj is Klein's j / 1728, computed from theta functions
+    # without any of heckelab's q-series
+    phi = modular_polynomial(p)
+    rng = random.Random(70 + p)
+    with mpmath.workprec(256):
+        for _ in range(5):
+            tau = mpmath.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.9, 2.0))
+            x = 1728 * mpmath.kleinj(tau)
+            assert phi.residual(x, 1728 * mpmath.kleinj(p * tau)) < 1e-50
+            assert phi.residual(x, 1728 * mpmath.kleinj(tau + 0.01)) > 1e-6
 
 
 def test_fiber_phi1():

@@ -7,20 +7,37 @@ from heckelab.qexp import (
     delta_over_q,
     eisenstein4,
     j_coefficients,
+    j_power_coefficients,
     series_mul,
-    series_pow,
     sigma,
 )
 
 
-def test_series_pow_matches_repeated_mul():
+def _power(f, e, K):
+    # reference: f**e by e products, truncated to K terms
+    out = [1] + [0] * (K - 1)
+    for _ in range(e):
+        out = series_mul(out, f, K)
+    return out
+
+
+def test_series_mul_is_the_truncated_convolution():
     rng = random.Random(2)
     for K in (1, 5, 12):
         f = [rng.randint(-9, 9) for _ in range(rng.randint(1, K + 3))]
-        expected = [1] + [0] * (K - 1)
-        for e in range(9):
-            assert series_pow(f, e, K) == expected
-            expected = series_mul(expected, f, K)
+        g = [rng.randint(-9, 9) for _ in range(rng.randint(1, K + 3))]
+        full = [sum(f[i] * g[t - i] for i in range(len(f))
+                    if 0 <= t - i < len(g)) for t in range(K)]
+        assert series_mul(f, g, K) == full
+
+
+def test_j_powers_match_repeated_products():
+    # each j^M is built from j^(M-1); the reference multiplies q*j by
+    # itself M times, read at a longer length than the chain needs
+    for K in (1, 7, 40):
+        qj = list(j_coefficients(K + 8))
+        for M in range(9):
+            assert j_power_coefficients(M, K) == tuple(_power(qj, M, K + M))
 
 
 def eisenstein6(K):
@@ -59,7 +76,7 @@ def _pentagonal_delta_over_q(K):
             if e < K:
                 euler[e] += -1 if kk % 2 else 1
         k += 1
-    return series_pow(euler, 24, K)
+    return _power(euler, 24, K)
 
 
 def _series_inv(f, K):
@@ -75,7 +92,7 @@ def test_recurrence_matches_pentagonal_route():
     ref = _pentagonal_delta_over_q(K)
     assert ref[:4] == [1, -24, 252, -1472]
     assert delta_over_q(K) == ref
-    e4cubed = series_pow(eisenstein4(K), 3, K)
+    e4cubed = _power(eisenstein4(K), 3, K)
     assert qexp._qj_series(K) == series_mul(e4cubed, _series_inv(ref, K), K)
 
 

@@ -6,11 +6,11 @@ Extracts REV of this repository with `git archive` into a temporary
 directory and runs one fixed, seeded list of argv (`argvs()`) through
 `heckelab.cli.main` in each tree, this checkout's src/ and REV's, in one
 fresh process per tree.  The list covers every subcommand, integral,
-rational and 5-scaled curves, MOD2 at ramified, huge and complex X0, and
-usage errors.  Prints how many argv ran and every argv whose exit code,
-stdout or stderr differs, naming which of the three, and exits 1 if any
-argv differs, 0 if none does.  Nothing is written into the checkout,
-and the temporary directory is removed.
+rational and 5-scaled curves, MOD2 at ramified, huge and complex X0,
+`Phi_n` up to n = 7, and usage errors.  Prints how many argv ran and
+every argv whose exit code, stdout or stderr differs, naming which of
+the three, and exits 1 if any argv differs, 0 if none does.  Nothing is
+written into the checkout, and the temporary directory is removed.
 """
 
 import argparse
@@ -129,6 +129,19 @@ def argvs():
         ["axiom", "sp", "--D", "-4", "--x", "0", "--y", "1/2"],
         ["axiom", "sf", "--N", "1000"],
     ]
+    # Phi_n beyond n = 3: built up to psi(n) = 8, refused above
+    out += [
+        ["modpoly", "5"], ["modpoly", "7"], ["modpoly", "6"],
+        ["modpoly", "11"],
+        ["axiom", "mod1", "--n", "5", "--trials", "3"],
+        ["axiom", "mod2", "--n", "5", "--X0", "5+2i"],
+        ["axiom", "mod2", "--n", "7", "--X0", "1728"],
+    ]
+    # curve evidence at a level that is not a certifiable prime
+    for level in ("0", "4"):
+        out += [["types", "--curve", curves[0], "--level", level],
+                ["types", "--curve", curves[0], "--curve", curves[1],
+                 "--level", level]]
     return out
 
 
