@@ -9,7 +9,9 @@ checks (axioms), Frobenius sampling, mod-p image certificates and the
 lifting check mod p^2 (galois), index reports (typecount), and a JSON
 batch CLI (cli).  mpmath is imported inside the functions that use it,
 so importing the package, and every CLI command but `j` and `axiom
-mod1`/`mod2`/`sp`, leaves it unloaded.
+mod1`/`mod2`/`sp`, leaves it unloaded.  The value classes are
+`collections.namedtuple` subclasses, so no import or command loads
+`dataclasses` or `inspect`.
 """
 
 from .axioms import AxiomReport, check_mod1, check_mod2, check_sf, check_sp

@@ -11,7 +11,7 @@ the finite coset action under S and T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import permutations
 
 from .congruence import MAX_LEVEL, sl2_order, subgroup_order
@@ -26,15 +26,11 @@ from .moebius import CMPoint, NumericPoint, act, fixed_point, special_witness
 MAX_TRIALS = 64
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    axiom: str
-    params: dict
-    seed: int | None
-    trials: int
-    max_residual: float | None  # None when no trial ran
-    verdict: str
-    witnesses: tuple = field(default_factory=tuple)
+class AxiomReport(namedtuple(
+        "AxiomReport", "axiom params seed trials max_residual verdict "
+        "witnesses", defaults=((),))):
+    # max_residual is None when no trial ran
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

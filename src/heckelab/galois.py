@@ -12,7 +12,7 @@ inside that class.  Containment verdicts are evidence only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isqrt, lcm
@@ -56,34 +56,26 @@ def _invariants(a1, a2, a3, a4, a6):
             -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6)
 
 
-@dataclass(frozen=True)
-class EllipticCurve:
+class EllipticCurve(namedtuple("EllipticCurve", "a1 a2 a3 a4 a6")):
     """Long Weierstrass model y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6
     with exact rational coefficients and nonzero discriminant.
 
     With u the lcm of the coefficients' denominators, a_i u^i are the
     a-invariants of an integral model isomorphic to E over Q (x = X/u^2,
     y = Y/u^3).  It is built once, in ints, with its c4, c6 and
-    discriminant, and every reduction mod ell reads it."""
+    discriminant, and every reduction mod ell reads it.  No __slots__:
+    _integral and the cached hash live in the instance __dict__."""
 
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
-    a4: Fraction
-    a6: Fraction
-
-    def __post_init__(self):
-        coeffs = [Fraction(a) for a in (self.a1, self.a2, self.a3, self.a4,
-                                        self.a6)]
-        for name, a in zip(("a1", "a2", "a3", "a4", "a6"), coeffs):
-            object.__setattr__(self, name, a)
-        u = lcm(*(a.denominator for a in coeffs))
+    def __new__(cls, a1, a2, a3, a4, a6):
+        self = tuple.__new__(cls, map(Fraction, (a1, a2, a3, a4, a6)))
+        u = lcm(*(a.denominator for a in self))
         model = tuple(a.numerator * (u ** i // a.denominator)
-                      for a, i in zip(coeffs, (1, 2, 3, 4, 6)))
+                      for a, i in zip(self, (1, 2, 3, 4, 6)))
         c4, c6, disc = _invariants(*model)
         if disc == 0:
             raise ValueError("singular curve: discriminant is zero")
-        object.__setattr__(self, "_integral", (u, model, c4, c6, disc))
+        self._integral = (u, model, c4, c6, disc)
+        return self
 
     def discriminant(self) -> Fraction:
         u, _, _, _, disc = self._integral
@@ -100,15 +92,14 @@ class EllipticCurve:
     @cached_property
     def _hash(self):
         # computed once: _a_ell hashes the curve per ell, _canonical per sample
-        return hash((self.a1, self.a2, self.a3, self.a4, self.a6))
+        return tuple.__hash__(self)
 
     def quadratic_twist(self, d: int) -> "EllipticCurve":
         A, B = self.short_model()
         return EllipticCurve(0, 0, 0, A * d * d, B * d ** 3)
 
     def __str__(self):
-        return "[" + ",".join(str(a) for a in
-                              (self.a1, self.a2, self.a3, self.a4, self.a6)) + "]"
+        return "[" + ",".join(map(str, self)) + "]"
 
 
 def parse_curve(text: str) -> EllipticCurve:
@@ -312,7 +303,8 @@ def count_points(curve: EllipticCurve, ell: int, method: str = "auto") -> int:
         a = _count_bsgs(curve, ell)
     else:
         raise ValueError(f"unknown method {method!r}")
-    assert a * a <= 4 * ell, "Hasse bound violated"
+    if a * a > 4 * ell:
+        raise AssertionError(f"a_{ell} = {a} violates the Hasse bound")
     return a
 
 
@@ -337,11 +329,9 @@ def _primes(bound):
     return tuple(primes_upto(bound))
 
 
-@dataclass(frozen=True)
-class FrobeniusSample:
-    curve: str
-    bound: int
-    samples: tuple  # ((ell, a_ell), ...) ascending in ell, good ell only
+class FrobeniusSample(namedtuple("FrobeniusSample", "curve bound samples")):
+    # samples: ((ell, a_ell), ...) ascending in ell, good ell only
+    __slots__ = ()
 
     def to_dict(self):
         return {"curve": self.curve, "bound": self.bound,
@@ -393,13 +383,10 @@ def excludes_class(cls: str, a: int, ell: int, p: int) -> bool:
     raise ValueError(f"unknown obstruction class {cls!r}")
 
 
-@dataclass(frozen=True)
-class ImageCertificate:
-    p: int
-    bound: int
-    verdict: str
-    witnesses: dict  # class -> {ell, a_mod_p, ell_mod_p} for excluded classes
-    detail: dict
+class ImageCertificate(namedtuple("ImageCertificate",
+                                  "p bound verdict witnesses detail")):
+    # witnesses: class -> {ell, a_mod_p, ell_mod_p} for excluded classes
+    __slots__ = ()
 
     def to_dict(self):
         return {"p": self.p, "bound": self.bound, "verdict": self.verdict,
@@ -484,13 +471,10 @@ def _image_from_rows(p, bound, rows):
     return ImageCertificate(p, bound, "Inconclusive", witnesses, detail)
 
 
-@dataclass(frozen=True)
-class GoursatCertificate:
-    p: int
-    bound: int
-    verdict: str
-    witness: dict | None  # {ell, a1_mod_p, a2_mod_p} when FullProduct
-    factor_verdicts: tuple
+class GoursatCertificate(namedtuple(
+        "GoursatCertificate", "p bound verdict witness factor_verdicts")):
+    # witness: {ell, a1_mod_p, a2_mod_p} when FullProduct
+    __slots__ = ()
 
     def to_dict(self):
         return {"p": self.p, "bound": self.bound, "verdict": self.verdict,
@@ -538,12 +522,9 @@ def _flatten(mat, m):
     return vals
 
 
-@dataclass(frozen=True)
-class LiftingReport:
-    p: int
-    order: int
-    full: bool
-    generates_mod_p: bool
+class LiftingReport(namedtuple("LiftingReport",
+                               "p order full generates_mod_p")):
+    __slots__ = ()
 
     def to_dict(self):
         return {"p": self.p, "order": self.order, "full": self.full,

@@ -14,7 +14,7 @@ read as dyadic Gaussian integers, and only the final quotient is rounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd, isqrt
 from types import MappingProxyType
@@ -40,10 +40,7 @@ def psi(n: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class CosetDecomposition:
-    n: int
-    reps: tuple[RatMatrix, ...]
+CosetDecomposition = namedtuple("CosetDecomposition", "n reps")
 
 
 def double_coset_reps(n: int) -> CosetDecomposition:
@@ -60,8 +57,10 @@ def double_coset_reps(n: int) -> CosetDecomposition:
         for b in range(d):
             if gcd(a, b, d) == 1:
                 reps.append(RatMatrix(a, b, 0, d))
-    assert len(reps) == psi(n)
-    assert verify_disjoint(reps)
+    if len(reps) != psi(n):
+        raise AssertionError(f"{len(reps)} representatives at n={n}, not psi")
+    if not verify_disjoint(reps):
+        raise AssertionError(f"the cosets at n={n} are not disjoint")
     return CosetDecomposition(n, tuple(reps))
 
 
@@ -81,12 +80,13 @@ def verify_disjoint(reps) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ModularPolynomial:
-    n: int
-    coeffs: MappingProxyType = field(compare=False)
-    degX: int = 0
-    degY: int = 0
+class ModularPolynomial(namedtuple("ModularPolynomial", "n coeffs degX degY",
+                                   defaults=(0, 0))):
+    __slots__ = ()
+
+    def __hash__(self):
+        # a mappingproxy has no hash, so coeffs stays out; == compares it
+        return hash((self.n, self.degX, self.degY))
 
     @classmethod
     def from_map(cls, n: int, coeffs: dict) -> "ModularPolynomial":

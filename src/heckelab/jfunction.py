@@ -18,7 +18,7 @@ closing j re-check at full precision decides every answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import exp, floor, log, pi, sqrt, ulp
@@ -30,13 +30,13 @@ from .qexp import DEFAULT_TERMS, j_coefficients
 S = RatMatrix(0, -1, 1, 0)
 
 
-@dataclass(frozen=True)
-class QSeriesContext:
-    prec_bits: int = 128
+class QSeriesContext(namedtuple("QSeriesContext", "prec_bits")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.prec_bits < 64:
+    def __new__(cls, prec_bits=128):
+        if prec_bits < 64:
             raise ValueError("need at least 64 bits")
+        return tuple.__new__(cls, (prec_bits,))
 
     def refined(self) -> "QSeriesContext":
         return QSeriesContext(self.prec_bits * 2)
@@ -45,10 +45,8 @@ class QSeriesContext:
 DEFAULT_CTX = QSeriesContext()
 
 
-@dataclass(frozen=True)
-class JResult:
-    value: mpmath.mpc
-    abs_err: float
+class JResult(namedtuple("JResult", "value abs_err")):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import re as _re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -82,18 +82,19 @@ def fraction_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
-class RatMatrix:
-    """2x2 rational matrix with positive determinant (an element of GL2(Q)+)."""
+class RatMatrix(namedtuple("RatMatrix", "a b c d")):
+    """2x2 rational matrix with positive determinant (an element of GL2(Q)+).
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+    __new__ reads the entries as Fractions and __init__ checks the
+    determinant; perfbench's tracer wraps __init__ to count constructions.
+    """
 
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, _frac(getattr(self, name)))
+    __slots__ = ()
+
+    def __new__(cls, a, b, c, d):
+        return tuple.__new__(cls, (_frac(a), _frac(b), _frac(c), _frac(d)))
+
+    def __init__(self, a, b, c, d):
         if self.det() <= 0:
             raise ValueError(f"determinant {self.det()} <= 0: not in GL2(Q)+")
 
@@ -182,23 +183,20 @@ def parse_matrix(s: str) -> RatMatrix:
     return RatMatrix(*entries)
 
 
-@dataclass(frozen=True)
-class CMPoint:
+class CMPoint(namedtuple("CMPoint", "D x y")):
     """Exact point x + y*sqrt(D) of the upper half-plane, D < 0 squarefree."""
 
-    D: int
-    x: Fraction
-    y: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", _frac(self.x))
-        object.__setattr__(self, "y", _frac(self.y))
-        if self.D >= 0:
+    def __new__(cls, D, x, y):
+        x, y = _frac(x), _frac(y)
+        if D >= 0:
             raise ValueError("D must be negative")
-        if not is_squarefree(-self.D):
-            raise ValueError(f"D={self.D} is not squarefree")
-        if self.y <= 0:
+        if not is_squarefree(-D):
+            raise ValueError(f"D={D} is not squarefree")
+        if y <= 0:
             raise ValueError("point must lie in the upper half-plane (y > 0)")
+        return tuple.__new__(cls, (D, x, y))
 
     def minimal_polynomial(self) -> tuple[Fraction, Fraction]:
         """(B, C) with tau^2 + B*tau + C = 0 the monic minimal polynomial."""
@@ -215,23 +213,20 @@ class CMPoint:
         return {"D": self.D, "x": fraction_str(self.x), "y": fraction_str(self.y)}
 
 
-@dataclass(frozen=True)
-class NumericPoint:
+class NumericPoint(namedtuple("NumericPoint", "re im prec_bits")):
     """Floating upper half-plane point with a working-precision tag in bits."""
 
-    re: mpmath.mpf
-    im: mpmath.mpf
-    prec_bits: int = 64
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.prec_bits < 64:
+    def __new__(cls, re, im, prec_bits=64):
+        if prec_bits < 64:
             raise ValueError("working precision below 64 bits")
         import mpmath
-        with mpmath.workprec(self.prec_bits):
-            object.__setattr__(self, "re", mpmath.mpf(self.re))
-            object.__setattr__(self, "im", mpmath.mpf(self.im))
-        if self.im <= 0:
+        with mpmath.workprec(prec_bits):
+            re, im = mpmath.mpf(re), mpmath.mpf(im)
+        if im <= 0:
             raise ValueError("point must lie in the upper half-plane (im > 0)")
+        return tuple.__new__(cls, (re, im, prec_bits))
 
     def value(self) -> mpmath.mpc:
         import mpmath
@@ -245,10 +240,7 @@ class ElementKind(enum.Enum):
     SCALAR = "scalar"
 
 
-@dataclass(frozen=True)
-class ElementClass:
-    kind: ElementKind
-    disc: Fraction
+ElementClass = namedtuple("ElementClass", "kind disc")
 
 
 def classify(g: RatMatrix) -> ElementClass:

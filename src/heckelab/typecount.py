@@ -12,7 +12,7 @@ a bound, never as an exact count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .congruence import sl2_order, subgroup_order
 from .errors import EvidenceInsufficient
@@ -32,16 +32,12 @@ _CONSISTENT_ORDER = {
 }
 
 
-@dataclass(frozen=True)
-class TypeCountReport:
-    level: int
-    m: int
-    ambient_order: int
-    subgroup_order: int | None
-    value: int
-    is_lower_bound: bool
-    orbit_counts_by_level: tuple  # ((level, count), ...)
-    basis: str  # what the count was derived from
+class TypeCountReport(namedtuple(
+        "TypeCountReport", "level m ambient_order subgroup_order value "
+        "is_lower_bound orbit_counts_by_level basis")):
+    # orbit_counts_by_level: ((level, count), ...); basis: what the count
+    # was derived from
+    __slots__ = ()
 
     def to_dict(self):
         rows = self.orbit_counts_by_level

@@ -235,15 +235,19 @@ EXACT_ARGVS = [
     ["special", "matrix", "--m", "[[0,-1],[1,0]]"],
 ]
 
+# a bare import, then each argv, all in one fresh process; after each
+# step, whether mpmath, dataclasses and inspect are loaded
 FOOTPRINT = """
 import contextlib, io, json, sys
 from heckelab import cli
-loaded = []
+def loaded():
+    return [m in sys.modules for m in ("mpmath", "dataclasses", "inspect")]
+rows = [["import", None, loaded()]]
 for argv in json.loads(sys.argv[1]) + [["j", "0.1+1.1i"]]:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    loaded.append([argv[0], code, "mpmath" in sys.modules])
-print(json.dumps(loaded))
+    rows.append([argv[0], code, loaded()])
+print(json.dumps(rows))
 """
 
 
@@ -252,10 +256,12 @@ def test_only_the_numeric_commands_import_mpmath():
                            json.dumps(EXACT_ARGVS)],
                           env=_src_env(), capture_output=True, text=True,
                           timeout=60, check=True)
-    rows = json.loads(done.stdout)
-    assert [code for _, code, _ in rows] == [0] * len(rows), done.stderr
-    assert [loaded for _, _, loaded in rows[:-1]] == [False] * len(EXACT_ARGVS)
-    assert rows[-1] == ["j", 0, True]
+    (bare, *rows, last) = json.loads(done.stdout)
+    assert bare == ["import", None, [False, False, False]]
+    assert [code for _, code, _ in rows] == [0] * len(EXACT_ARGVS), done.stderr
+    assert [mods for _, _, mods in rows] == [[False] * 3] * len(EXACT_ARGVS)
+    # mpmath itself loads neither dataclasses nor inspect
+    assert last == ["j", 0, [True, False, False]]
 
 
 M127 = str(2 ** 127 - 1)  # a prime with no factor in reach of trial division

@@ -1,5 +1,9 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from math import gcd, isqrt
 
 import pytest
@@ -708,3 +712,36 @@ def test_lifting_full_when_reduction_generates(p):
             assert not (rep.full or rep.generates_mod_p)
     assert onto >= 5
 
+
+
+# run under `python -O`, which strips assert statements: a forged
+# disjointness check and a forged trace outside the Hasse interval
+SELF_CHECKS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from heckelab import galois, hecke
+hecke.verify_disjoint = lambda reps: False
+galois._count_exhaustive = lambda curve, ell: 2 * ell
+raised = []
+for check in (lambda: hecke.double_coset_reps(6),
+              lambda: galois.count_points(galois.parse_curve("[0,0,1,-1,0]"),
+                                          5)):
+    try:
+        check()
+        raised.append(None)
+    except AssertionError as exc:
+        raised.append(str(exc))
+print(json.dumps([__debug__, raised]))
+"""
+
+
+def test_self_checks_raise_under_python_O():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                       "src")
+    out = subprocess.run([sys.executable, "-O", "-c", SELF_CHECKS, src],
+                         capture_output=True, text=True, timeout=60,
+                         check=True).stdout
+    debug, raised = json.loads(out)
+    assert debug is False
+    assert raised == ["the cosets at n=6 are not disjoint",
+                      "a_5 = 10 violates the Hasse bound"]

@@ -12,7 +12,8 @@ round to round, so the trees are timed under the same host conditions.
 The first --src is the baseline: the printed change is the last tree's
 median against the first's.  Before timing, one probe per (tree,
 argv) runs `cli.main(ARGV)` in a fresh process and records whether it
-loaded mpmath (and checks that heckelab resolved into the tree).
+loaded mpmath, dataclasses and inspect (and checks that heckelab
+resolved into the tree).
 
 Each figure written is the median over rounds, with the quartiles and
 every round's time.  Every run of an argv must print the same stdout and
@@ -52,8 +53,9 @@ ARGVS = (
     ["axiom", "sp", "--D", "-1", "--x", "0", "--y", "1"],
 )
 
-# Run once per (tree, argv), untimed: where heckelab resolved and whether
-# the call loaded mpmath.
+# Run once per (tree, argv), untimed: where heckelab resolved and which
+# of LOADED the call loaded.
+LOADED = ("mpmath", "dataclasses", "inspect")
 PROBE = r"""
 import contextlib, io, json, sys
 from heckelab import cli
@@ -64,8 +66,8 @@ if len(sys.argv) > 1:
             cli.main(sys.argv[1:])
         except SystemExit:
             pass
-print(json.dumps([cli.__file__, "mpmath" in sys.modules]))
-"""
+print(json.dumps([cli.__file__, [m in sys.modules for m in %r]]))
+""" % (LOADED,)
 
 
 def _name(argv):
@@ -83,14 +85,15 @@ def _env(src):
 
 
 def _probe(src, argv):
-    """Whether `argv` loads mpmath in a fresh process on the tree `src`."""
+    """{module: loaded?} over LOADED, for `argv` in a fresh process on the
+    tree `src`."""
     args = [] if argv == IMPORT_ONLY else argv
     out = subprocess.run([sys.executable, "-c", PROBE, *args], env=_env(src),
                          capture_output=True, text=True, check=True).stdout
     path, loaded = json.loads(out)
     if not path.startswith(src + os.sep):
         raise RuntimeError(f"heckelab resolved to {path}, not under {src}")
-    return loaded
+    return dict(zip(LOADED, loaded))
 
 
 def _spawn(src, argv):
@@ -141,7 +144,8 @@ def main():
             q1, _, q3 = statistics.quantiles(ms, n=4)
             per_tree.append({"median_ms": statistics.median(ms),
                              "q1_ms": q1, "q3_ms": q3, "ms_rounds": ms,
-                             "mpmath_loaded": loaded[t, k]})
+                             **{f"{m}_loaded": v
+                                for m, v in loaded[t, k].items()}})
         rows.append({"argv": _name(argv),
                      "exit_codes": sorted(codes[k]),
                      "stdout_identical": len(outputs[k]) == 1,
@@ -161,12 +165,13 @@ def main():
         meds = [t["median_ms"] for t in row["trees"]]
         change = (f"  {meds[-1] / meds[0] - 1:+.1%}" if len(meds) > 1
                   else "")
-        flags = "".join("M" if t["mpmath_loaded"] else "-"
-                        for t in row["trees"])
+        # per tree, the initial of each module in LOADED it loaded
+        flags = " ".join("".join(m[0].upper() if t[f"{m}_loaded"] else "-"
+                                 for m in LOADED) for t in row["trees"])
         same = ("" if row["stdout_identical"] and len(row["exit_codes"]) == 1
                 else "  OUTPUT DIFFERS")
         print(f"{row['argv'][:60]:60s}", "  ".join(f"{m:7.1f}" for m in meds),
-              f"ms{change}  mpmath {flags}{same}")
+              f"ms{change}  loaded {flags}{same}")
     sys.exit(0 if all(row["stdout_identical"] and len(row["exit_codes"]) == 1
                       for row in rows) else 1)
 
