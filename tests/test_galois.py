@@ -713,7 +713,6 @@ def test_lifting_full_when_reduction_generates(p):
     assert onto >= 5
 
 
-
 # run under `python -O`, which strips assert statements: a forged
 # disjointness check and a forged trace outside the Hasse interval
 SELF_CHECKS = """

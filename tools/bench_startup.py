@@ -159,8 +159,10 @@ def main():
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
-    for src in srcs:
-        print(src, _commit(src))
+    # the commits recorded above: asked again, git would call the tree
+    # dirty whenever --out lies inside it
+    for src, tree in zip(srcs, report["trees"]):
+        print(src, tree["commit"])
     for row in rows:
         meds = [t["median_ms"] for t in row["trees"]]
         change = (f"  {meds[-1] / meds[0] - 1:+.1%}" if len(meds) > 1
