@@ -10,7 +10,7 @@ lifting check mod p^2 (galois), index reports (typecount), and a JSON
 batch CLI (cli).  mpmath is imported inside the functions that use it,
 so importing the package, and every CLI command but `j` and `axiom
 mod1`/`mod2`/`sp`, leaves it unloaded.  The value classes are
-`collections.namedtuple` subclasses, so no import or command loads
+namedtuples from `collections`, so no import or command loads
 `dataclasses` or `inspect`.
 """
 

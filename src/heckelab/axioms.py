@@ -26,22 +26,10 @@ from .moebius import CMPoint, NumericPoint, act, fixed_point, special_witness
 MAX_TRIALS = 64
 
 
-class AxiomReport(namedtuple(
-        "AxiomReport", "axiom params seed trials max_residual verdict "
-        "witnesses", defaults=((),))):
-    # max_residual is None when no trial ran
-    __slots__ = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "axiom": self.axiom,
-            "params": self.params,
-            "seed": self.seed,
-            "trials": self.trials,
-            "max_residual": self.max_residual,
-            "verdict": self.verdict,
-            "witnesses": list(self.witnesses),
-        }
+# max_residual is None when no trial ran
+AxiomReport = namedtuple(
+    "AxiomReport", "axiom params seed trials max_residual verdict witnesses",
+    defaults=((),))
 
 
 def _cplx(z) -> list:

@@ -66,7 +66,7 @@ OK, FAIL, USAGE, INCONCLUSIVE = 0, 1, 2, 3
 MAX_PRECISION_BITS = 1 << 13
 
 _USAGE_ERRORS = (ValueError, NotSquarefree, LevelTooLarge, BadDeterminant,
-                 BadReduction, NotElliptic, json.JSONDecodeError)
+                 BadReduction, NotElliptic)
 _INCONCLUSIVE_ERRORS = (PrecisionExhausted, NoConvergence, IllConditioned,
                         EvidenceInsufficient, OrderAmbiguous)
 
@@ -82,7 +82,7 @@ def _parse_complex(text: str):
 
 
 def _int_rows(mat):
-    a, b, c, d = mat.entries()
+    a, b, c, d = mat
     return [[int(a), int(b)], [int(c), int(d)]]
 
 
@@ -101,7 +101,9 @@ def _parse_gens(text: str) -> list:
 
 
 def _verdict_exit(verdict: str) -> int:
-    return {"pass": OK, "fail": FAIL}.get(verdict, INCONCLUSIVE)
+    """The exit code of an image, goursat or axiom verdict."""
+    return {"fail": FAIL, "inconclusive": INCONCLUSIVE,
+            "Inconclusive": INCONCLUSIVE}.get(verdict, OK)
 
 
 def _thread_count(text):
@@ -310,32 +312,30 @@ def _run_axiom(args):
                        tol=_tol(args, 1e-8), ctx=ctx)
     else:
         rep = check_sf(args.N)
-    return rep.to_dict(), _verdict_exit(rep.verdict)
+    return rep._asdict(), _verdict_exit(rep.verdict)
 
 
 def _run_frobenius(args):
     sample = frobenius_sample(parse_curve(args.curve), args.upto)
-    return sample.to_dict(), OK
+    return sample._asdict(), OK
 
 
 def _run_image(args):
     cert = certify_mod_p_image(parse_curve(args.curve), args.p, args.upto)
-    code = INCONCLUSIVE if cert.verdict == "Inconclusive" else OK
-    return cert.to_dict(), code
+    return cert._asdict(), _verdict_exit(cert.verdict)
 
 
 def _run_goursat(args):
     cert = certify_goursat_pair(parse_curve(args.curve1),
                                 parse_curve(args.curve2), args.p, args.upto)
-    code = INCONCLUSIVE if cert.verdict == "Inconclusive" else OK
-    return cert.to_dict(), code
+    return cert._asdict(), _verdict_exit(cert.verdict)
 
 
 def _run_lifting(args):
     gens = (standard_lifts(args.p) if args.gens is None
             else _parse_gens(args.gens))
     rep = lifting_check(args.p, gens)
-    return rep.to_dict(), OK if rep.full else FAIL
+    return rep._asdict(), OK if rep.full else FAIL
 
 
 def _run_types(args):

@@ -329,13 +329,8 @@ def _primes(bound):
     return tuple(primes_upto(bound))
 
 
-class FrobeniusSample(namedtuple("FrobeniusSample", "curve bound samples")):
-    # samples: ((ell, a_ell), ...) ascending in ell, good ell only
-    __slots__ = ()
-
-    def to_dict(self):
-        return {"curve": self.curve, "bound": self.bound,
-                "samples": [list(s) for s in self.samples]}
+# samples: ((ell, a_ell), ...) ascending in ell, good ell only
+FrobeniusSample = namedtuple("FrobeniusSample", "curve bound samples")
 
 
 def frobenius_sample(curve: EllipticCurve, bound: int) -> FrobeniusSample:
@@ -366,6 +361,11 @@ def frobenius_sample(curve: EllipticCurve, bound: int) -> FrobeniusSample:
 
 OBSTRUCTION_CLASSES = ("borel", "normalizer_split_cartan",
                        "normalizer_nonsplit_cartan", "exceptional")
+# the verdict when a class after borel is the first that no trace excludes
+_CONTAINED = {"normalizer_split_cartan": "ContainedInNormalizerCartan(split)",
+              "normalizer_nonsplit_cartan":
+                  "ContainedInNormalizerCartan(nonsplit)",
+              "exceptional": "ExceptionalPossible"}
 
 
 def excludes_class(cls: str, a: int, ell: int, p: int) -> bool:
@@ -383,14 +383,9 @@ def excludes_class(cls: str, a: int, ell: int, p: int) -> bool:
     raise ValueError(f"unknown obstruction class {cls!r}")
 
 
-class ImageCertificate(namedtuple("ImageCertificate",
-                                  "p bound verdict witnesses detail")):
-    # witnesses: class -> {ell, a_mod_p, ell_mod_p} for excluded classes
-    __slots__ = ()
-
-    def to_dict(self):
-        return {"p": self.p, "bound": self.bound, "verdict": self.verdict,
-                "witnesses": self.witnesses, "detail": self.detail}
+# witnesses: class -> {ell, a_mod_p, ell_mod_p} for excluded classes
+ImageCertificate = namedtuple("ImageCertificate",
+                              "p bound verdict witnesses detail")
 
 
 def _borel_patterns(samples, p):
@@ -448,38 +443,23 @@ def _image_from_rows(p, bound, rows):
     det_full = subgroup_order([(u, 0, 0, pow(u, -1, p)) for u in units],
                               p) == p - 1
     detail = {"samples": len(rows), "det_coverage": det_full}
-    if len(witnesses) == len(OBSTRUCTION_CLASSES) and det_full:
-        return ImageCertificate(p, bound, "Surjective", witnesses, detail)
-    if "borel" not in witnesses:
-        pats = _borel_patterns(rows, p)
-        if pats:
-            i = pats[0]
-            detail["borel_pattern"] = f"a_ell = ell^{i} + ell^{(1 - i) % (p - 1)} mod {p}"
-            return ImageCertificate(p, bound, "ContainedInBorel", witnesses,
-                                    detail)
-        return ImageCertificate(p, bound, "Inconclusive", witnesses, detail)
-    if "normalizer_split_cartan" not in witnesses:
-        return ImageCertificate(p, bound, "ContainedInNormalizerCartan(split)",
-                                witnesses, detail)
-    if "normalizer_nonsplit_cartan" not in witnesses:
-        return ImageCertificate(p, bound,
-                                "ContainedInNormalizerCartan(nonsplit)",
-                                witnesses, detail)
-    if "exceptional" not in witnesses:
-        return ImageCertificate(p, bound, "ExceptionalPossible", witnesses,
-                                detail)
-    return ImageCertificate(p, bound, "Inconclusive", witnesses, detail)
+    left = [c for c in OBSTRUCTION_CLASSES if c not in witnesses]
+    if not left:
+        verdict = "Surjective" if det_full else "Inconclusive"
+    elif left[0] != "borel":
+        verdict = _CONTAINED[left[0]]
+    elif pats := _borel_patterns(rows, p):
+        i = pats[0]
+        detail["borel_pattern"] = f"a_ell = ell^{i} + ell^{(1 - i) % (p - 1)} mod {p}"
+        verdict = "ContainedInBorel"
+    else:
+        verdict = "Inconclusive"
+    return ImageCertificate(p, bound, verdict, witnesses, detail)
 
 
-class GoursatCertificate(namedtuple(
-        "GoursatCertificate", "p bound verdict witness factor_verdicts")):
-    # witness: {ell, a1_mod_p, a2_mod_p} when FullProduct
-    __slots__ = ()
-
-    def to_dict(self):
-        return {"p": self.p, "bound": self.bound, "verdict": self.verdict,
-                "witness": self.witness,
-                "factor_verdicts": list(self.factor_verdicts)}
+# witness: {ell, a1_mod_p, a2_mod_p} when FullProduct
+GoursatCertificate = namedtuple("GoursatCertificate",
+                                "p bound verdict witness factor_verdicts")
 
 
 def certify_goursat_pair(curve1: EllipticCurve, curve2: EllipticCurve,
@@ -522,13 +502,7 @@ def _flatten(mat, m):
     return vals
 
 
-class LiftingReport(namedtuple("LiftingReport",
-                               "p order full generates_mod_p")):
-    __slots__ = ()
-
-    def to_dict(self):
-        return {"p": self.p, "order": self.order, "full": self.full,
-                "generates_mod_p": self.generates_mod_p}
+LiftingReport = namedtuple("LiftingReport", "p order full generates_mod_p")
 
 
 def standard_lifts(p: int):

@@ -69,7 +69,7 @@ def verify_disjoint(reps) -> bool:
     multiple of h_i h_j^-1; divided by the gcd g of its entries it has
     determinant 1, i.e. det == g^2, exactly when it lies in +-SL2(Z),
     merging the cosets."""
-    ints = [tuple(int(e) for e in h.normalized().entries()) for h in reps]
+    ints = [tuple(map(int, h.normalized())) for h in reps]
     for i, (a, b, c, d) in enumerate(ints):
         for p, q, r, s in ints[i + 1 :]:
             # (a,b;c,d) * (s,-q;-r,p)

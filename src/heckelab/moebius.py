@@ -121,6 +121,9 @@ class RatMatrix(namedtuple("RatMatrix", "a b c d")):
             self.c * other.b + self.d * other.d,
         )
 
+    # a matrix is no sequence: tuple's concatenation and repetition raise
+    __add__ = __radd__ = __rmul__ = None
+
     def inverse(self) -> "RatMatrix":
         det = self.det()
         return RatMatrix(self.d / det, -self.b / det, -self.c / det, self.a / det)
@@ -131,11 +134,8 @@ class RatMatrix(namedtuple("RatMatrix", "a b c d")):
             raise ValueError("only positive scaling preserves GL2(Q)+")
         return RatMatrix(self.a * lam, self.b * lam, self.c * lam, self.d * lam)
 
-    def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.a, self.b, self.c, self.d)
-
     def is_integral(self) -> bool:
-        return all(e.denominator == 1 for e in self.entries())
+        return all(e.denominator == 1 for e in self)
 
     def in_sl2z(self) -> bool:
         return self.is_integral() and self.det() == 1
@@ -147,8 +147,8 @@ class RatMatrix(namedtuple("RatMatrix", "a b c d")):
         then flips sign so the first nonzero entry is positive.  The Moebius
         action is invariant under this normalization.
         """
-        den = lcm(*(e.denominator for e in self.entries()))
-        ints = [int(e * den) for e in self.entries()]
+        den = lcm(*(e.denominator for e in self))
+        ints = [int(e * den) for e in self]
         g = gcd(*ints)
         ints = [v // g for v in ints]
         for v in ints:
@@ -160,11 +160,10 @@ class RatMatrix(namedtuple("RatMatrix", "a b c d")):
 
     def int_entries(self) -> tuple[int, int, int, int]:
         """Entries of the normalized representative as plain ints."""
-        m = self.normalized()
-        return tuple(int(e) for e in m.entries())
+        return tuple(map(int, self.normalized()))
 
     def __str__(self) -> str:
-        a, b, c, d = (fraction_str(e) for e in self.entries())
+        a, b, c, d = map(fraction_str, self)
         return f"[[{a},{b}],[{c},{d}]]"
 
 
@@ -272,7 +271,7 @@ def act(g: RatMatrix, tau):
         prec = tau.prec_bits
         with mpmath.workprec(prec + 20):
             a, b, c, d = (mpmath.mpf(e.numerator) / e.denominator
-                          for e in g.entries())
+                          for e in g)
             z = tau.value()
             w = (a * z + b) / (c * z + d)
         return NumericPoint(w.real, w.imag, prec)

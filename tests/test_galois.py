@@ -480,6 +480,48 @@ def test_det_coverage_matches_unit_generation(p):
     assert 0 < full < 2 ** (p - 1)
 
 
+_CONTAINED_VERDICTS = {
+    "normalizer_split_cartan": "ContainedInNormalizerCartan(split)",
+    "normalizer_nonsplit_cartan": "ContainedInNormalizerCartan(nonsplit)",
+    "exceptional": "ExceptionalPossible",
+}
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_verdict_follows_the_first_class_left(p, monkeypatch):
+    # every subset of classes excluded, with units that do and do not cover
+    # F_p^*, and traces a = 1 + ell (the Borel pattern ell^0 + ell^1) or
+    # a = 0 (no pattern, since ell = 1 would need 2 = 0 mod p)
+    classes = galois.OBSTRUCTION_CLASSES
+    for k in range(len(classes) + 1):
+        for excluded in itertools.combinations(classes, k):
+            monkeypatch.setattr(galois, "excludes_class",
+                                lambda cls, a, ell, q: cls in excluded)
+            for units, full in ((range(1, p), True), ((1,), False)):
+                for pattern in (True, False):
+                    rows = [(u, (1 + u) % p if pattern else 0)
+                            for u in units]
+                    cert = galois._image_from_rows(p, 1000, rows)
+                    left = [c for c in classes if c not in excluded]
+                    if not left:
+                        expected = "Surjective" if full else "Inconclusive"
+                    elif left[0] == "borel":
+                        expected = ("ContainedInBorel" if pattern
+                                    else "Inconclusive")
+                    else:
+                        expected = _CONTAINED_VERDICTS[left[0]]
+                    case = (p, excluded, full, pattern)
+                    assert cert.verdict == expected, case
+                    assert set(cert.witnesses) == set(excluded), case
+                    assert cert.detail["det_coverage"] is full, case
+                    assert cert.detail["samples"] == len(rows), case
+                    if expected == "ContainedInBorel":
+                        assert cert.detail["borel_pattern"] == (
+                            f"a_ell = ell^0 + ell^1 mod {p}"), case
+                    else:
+                        assert "borel_pattern" not in cert.detail, case
+
+
 def test_certify_guards():
     assert certify_mod_p_image(E_11A3, 11, 1000).verdict == "Inconclusive"
     with pytest.raises(ValueError):

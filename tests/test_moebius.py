@@ -258,6 +258,16 @@ def test_ratmatrix_validation():
         RatMatrix(1, 2, 2, 4)
 
 
+def test_ratmatrix_has_no_sequence_arithmetic():
+    # a tuple would concatenate or repeat the four entries
+    m = RatMatrix(2, 1, 0, 3)
+    with pytest.raises(TypeError):
+        m + m
+    with pytest.raises(TypeError):
+        2 * m
+    assert m * m == RatMatrix(4, 5, 0, 9)
+
+
 def test_numeric_point_validation():
     with pytest.raises(ValueError):
         NumericPoint(0.0, -1.0)

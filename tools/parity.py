@@ -142,6 +142,16 @@ def argvs():
         out += [["types", "--curve", curves[0], "--level", level],
                 ["types", "--curve", curves[0], "--curve", curves[1],
                  "--level", level]]
+    # the verdicts no curve above reaches: the nonsplit Cartan normalizer
+    # (y^2 = x^3 - x at p = 7, y^2 + y = x^3 at p = 5) and a Goursat graph
+    out += [
+        ["image", "[0,0,0,-1,0]", "--p", "7"],
+        ["image", "[0,0,1,0,0]", "--p", "5"],
+        ["goursat", "[0,-1,1,0,0]", "[0,-1,1,0,0]", "--p", "7"],
+        ["types", "--curve", "[0,0,0,-1,0]", "--level", "7"],
+        ["types", "--curve", "[0,-1,1,0,0]", "--curve", "[0,-1,1,0,0]",
+         "--level", "7"],
+    ]
     return out
 
 
