@@ -2,11 +2,10 @@
 
 The degree-n correspondence is carried by the upper-triangular matrices
 (a,b;0,d) with ad = n, 0 <= b < d.  The modular polynomial Phi_n is built
-from exact integer q-series: the power sums of the j((a*tau+b)/d) are read
-off the integer powers of the j-series, Newton's identities turn them into
-the elementary symmetric functions (the Y-coefficients of Phi_n), and each
-of those is peeled against powers of j into an integer polynomial in X.
-Every division must be exact and every peeled remainder exactly zero.
+from exact integer q-series.  Each power sum of the j((a*tau+b)/d) is read
+off a power of the j-series and peeled against powers of j into an integer
+polynomial in X, its remainder exactly zero; Newton's identities turn these
+into the Y-coefficients of Phi_n, every division exact.
 Phi_n is built for squarefree n with psi(n) <= MAX_PSI, n in {1, 2, 3, 5, 7}.
 The residual of Phi_n at a numeric point is exact as well: the point is
 read as dyadic Gaussian integers, and only the final quotient is rounded.
@@ -23,13 +22,13 @@ from .errors import IllConditioned, NotSquarefree, PrecisionExhausted
 from .moebius import RatMatrix, factor, is_squarefree
 from .qexp import j_power_coefficients, series_mul
 
-# positive q-exponents beyond the pole on which every peeled remainder of a
-# Y-coefficient is checked to vanish
+# positive q-exponents on which the remainder of every peeled power sum is
+# checked to vanish
 _CHECK_TERMS = 12
 
-# Phi_n for squarefree n with psi(n) <= MAX_PSI (n = 1, 2, 3, 5, 7): cold,
-# Phi_7 takes 0.3-0.5 s, Phi_6 0.7 s, Phi_11 8 s, Phi_13 34 s (2 cores,
-# CPython 3.11), and MOD2 tries all psi(n)! pairings: 8! but 12! at n = 6
+# Phi_n for squarefree n with psi(n) <= MAX_PSI (n = 1, 2, 3, 5, 7).  A cold
+# build takes 0.05-0.08 s at n = 7 and 1-2 s at n = 10, 13 (2 cores, CPython
+# 3.11); MOD2's psi(n)! pairings hold the bound: 8! but 12! at n = 6
 MAX_PSI = 8
 
 
@@ -161,8 +160,9 @@ def _dyadic(z) -> tuple:
     return a, b, e
 
 
-def _power_sums(n: int, deg: int, top: int, K: int) -> list:
-    """p_s = sum over the reps of j(rep tau)^s, s = 1..deg, through q^top.
+def _power_sums(n: int, deg: int, K: int) -> list:
+    """p_s = sum over the reps of j(rep tau)^s, s = 1..deg, through
+    q^_CHECK_TERMS.
 
     For squarefree n, gcd(a, d) = 1 and b runs over all of 0..d-1, so the
     roots of unity cancel every term of j^s whose exponent is not a multiple
@@ -172,9 +172,9 @@ def _power_sums(n: int, deg: int, top: int, K: int) -> list:
     sums = []
     for s in range(1, deg + 1):
         js = j_power_coefficients(s, K - s + 1)  # entry t: q^(t - s)
-        out = [0] * (top + n * s + 1)
+        out = [0] * (_CHECK_TERMS + n * s + 1)
         for a, d in pairs:
-            for u in range(-(s // d), top // a + 1):
+            for u in range(-(s // d), _CHECK_TERMS // a + 1):
                 out[a * u + n * s] += d * js[d * u + s]
         sums.append(out)  # entry t: q^(t - n s)
     return sums
@@ -186,8 +186,9 @@ def modular_polynomial(n: int) -> ModularPolynomial:
     psi(n) <= MAX_PSI, computed once per process.
 
     Phi_n(j, Y) = prod over reps (Y - j(rep tau)) = sum_k (-1)^k e_k Y^(deg-k).
-    e_k has a pole of order at most n*k and is an integer polynomial in j.
-    Any inexact division or nonzero remainder raises PrecisionExhausted.
+    p_s = sum over reps j(rep tau)^s has a pole of order n*s and is an
+    integer polynomial in j; Newton's identities give each e_k from them.
+    Any nonzero remainder or inexact division raises PrecisionExhausted.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -199,43 +200,41 @@ def modular_polynomial(n: int) -> ModularPolynomial:
     if deg > MAX_PSI:
         raise ValueError(f"Phi_{n} is not computed here: psi({n}) = {deg}, "
                          f"above {MAX_PSI}")
-    # Newton's step k multiplies e_(k-i) by p_i, losing n*i exponents; this
-    # top leaves every e_k exact through at least q^(_CHECK_TERMS + n)
-    top = _CHECK_TERMS + n * deg
-    K = n * top + deg  # every j^M read below shares one j_coefficients(K)
-    sums = _power_sums(n, deg, top, K)
-    elem = [[1] + [0] * (top + n * deg)]  # e_k entry t: q^(t - n k)
-    coeffs = {(0, deg): 1}
-    for k in range(1, deg + 1):
-        # Newton: k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i.  A factor
-        # with pole order P spoils the top P exponents of the other, so a
-        # product keeps only as many terms as its shorter factor.
-        prods = [series_mul(e, p, min(len(e), len(p)))
-                 for e, p in zip(elem[k - 1::-1], sums)]
-        work = []
-        for t in range(min(map(len, prods))):
-            total = sum((-1) ** i * c[t] for i, c in enumerate(prods))
-            if total % k:
-                raise PrecisionExhausted(
-                    f"Phi_{n}: the Y^{deg - k} coefficient has q^{t - n * k} "
-                    f"term {total}/{k}, not an integer")
-            work.append(total // k)
-        elem.append(list(work))
+    # p_s reads j^s through q^(n * _CHECK_TERMS) and its peel reads j^(n s)
+    # through q^_CHECK_TERMS: every j^M shares one j_coefficients(K)
+    K = max(n * _CHECK_TERMS + deg, n * deg + _CHECK_TERMS)
+    polys = []  # p_s entry M: X^M
+    for s, work in enumerate(_power_sums(n, deg, K), 1):
         # peel: the q^-M term of what is left is the coefficient of j^M
-        hi = len(work) - 1 - n * k
-        for M in range(n * k, -1, -1):
-            alpha = work[n * k - M]
+        poly = [0] * (n * s + 1)
+        for M in range(n * s, -1, -1):
+            alpha = poly[M] = work[n * s - M]
             if alpha:
                 jm = j_power_coefficients(M, K - M + 1)  # entry t: q^(t - M)
-                for t in range(-M, hi + 1):
-                    work[t + n * k] -= alpha * jm[t + M]
-                coeffs[(M, deg - k)] = (-1) ** k * alpha
+                for t in range(-M, _CHECK_TERMS + 1):
+                    work[t + n * s] -= alpha * jm[t + M]
         for t, c in enumerate(work):
             if c:
                 raise PrecisionExhausted(
-                    f"Phi_{n}: the Y^{deg - k} coefficient is not a polynomial "
-                    f"in X; {c} is left at q^{t - n * k}")
-    return ModularPolynomial.from_map(n, coeffs)
+                    f"Phi_{n}: the power sum p_{s} is not a polynomial in X; "
+                    f"{c} is left at q^{t - n * s}")
+        polys.append(poly)
+    elem = [[1]]  # e_k entry M: X^M
+    for k in range(1, deg + 1):
+        # Newton: k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i in Z[X]
+        prods = [series_mul(e, p, len(e) + len(p) - 1)
+                 for e, p in zip(elem[k - 1::-1], polys)]
+        elem.append([])
+        for M in range(n * k + 1):
+            total = sum((-1) ** i * c[M] for i, c in enumerate(prods))
+            if total % k:
+                raise PrecisionExhausted(
+                    f"Phi_{n}: the Y^{deg - k} coefficient has X^{M} "
+                    f"coefficient {total}/{k}, not an integer")
+            elem[k].append(total // k)
+    return ModularPolynomial.from_map(n, {(M, deg - k): (-1) ** k * c
+                                          for k, e in enumerate(elem)
+                                          for M, c in enumerate(e)})
 
 
 def correspondence_fiber(phi: ModularPolynomial, X0, starts,

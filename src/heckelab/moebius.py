@@ -114,6 +114,8 @@ class RatMatrix(namedtuple("RatMatrix", "a b c d")):
         return t * t - 4 * self.det()
 
     def __mul__(self, other: "RatMatrix") -> "RatMatrix":
+        if not isinstance(other, RatMatrix):
+            return NotImplemented
         return RatMatrix(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
@@ -121,8 +123,12 @@ class RatMatrix(namedtuple("RatMatrix", "a b c d")):
             self.c * other.b + self.d * other.d,
         )
 
-    # a matrix is no sequence: tuple's concatenation and repetition raise
-    __add__ = __radd__ = __rmul__ = None
+    def _no_sequence_arithmetic(self, other):
+        raise TypeError(f"unsupported operand for RatMatrix and "
+                        f"{type(other).__name__}: a matrix is no sequence")
+
+    # tuple's concatenation and repetition would act on the four entries
+    __add__ = __radd__ = __rmul__ = _no_sequence_arithmetic
 
     def inverse(self) -> "RatMatrix":
         det = self.det()

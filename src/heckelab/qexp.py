@@ -65,7 +65,7 @@ def delta_over_q(K: int) -> list:
 
 # j is summed to DEFAULT_TERMS terms unless its precision asks for more, and
 # the first table covers them.  So a default request builds it once: `axiom
-# mod1` and `mod2` read Phi_3's 76 terms before j's 64.
+# mod1` and `mod2` read Phi_3's 40 terms, then j's 64.
 DEFAULT_TERMS = 64
 _qj_table: list = []
 

@@ -206,9 +206,10 @@ def test_shared_phi_is_read_only():
     assert phi.coeffs == PHI2_CLASSICAL
 
 
-def test_corrupted_j_fails_phi5_exact_check(monkeypatch):
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+def test_corrupted_j_table_fails_exact_check(monkeypatch, n):
     # one wrong coefficient of j (q^3) in the shared table: every power of
-    # j is built from it, and Phi_5's divisions or remainders still see it
+    # j is built from it, and Phi_n's remainders or divisions still see it
     real = qexp._qj_series
 
     def corrupted(n):
@@ -225,7 +226,7 @@ def test_corrupted_j_fails_phi5_exact_check(monkeypatch):
     try:
         assert qexp.j_coefficients(4)[4] == 864299970 + 1
         with pytest.raises(PrecisionExhausted):
-            modular_polynomial(5)
+            modular_polynomial(n)
     finally:
         for cache in caches:  # nothing built from the bad table survives
             cache.cache_clear()

@@ -261,10 +261,14 @@ def test_ratmatrix_validation():
 def test_ratmatrix_has_no_sequence_arithmetic():
     # a tuple would concatenate or repeat the four entries
     m = RatMatrix(2, 1, 0, 3)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="RatMatrix and RatMatrix"):
         m + m
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="RatMatrix and int"):
         2 * m
+    with pytest.raises(TypeError, match="'RatMatrix' and 'int'"):
+        m * 2
+    with pytest.raises(TypeError, match="RatMatrix and tuple"):
+        (1,) + m
     assert m * m == RatMatrix(4, 5, 0, 9)
 
 

@@ -6,9 +6,10 @@ Every heckelab call from a shell is a new interpreter, so its cost is the
 import of the package plus the command.  For each source tree (default:
 this checkout's src/) this times `python -m heckelab.cli ARGV` with
 PYTHONPATH set to the tree, one spawn per (round, tree, argv), for ARGVS:
-one small argv per subcommand and a bare `import heckelab.cli`.  For each
-argv the trees alternate which goes first, from argv to argv and from
-round to round, so the trees are timed under the same host conditions.
+one small argv per subcommand, two that build `Phi_7` cold (`modpoly 7`
+and MOD2 at n = 7) and a bare `import heckelab.cli`.  For each argv the
+trees alternate which goes first, from argv to argv and from round to
+round, so the trees are timed under the same host conditions.
 The first --src is the baseline: the printed change is the last tree's
 median against the first's.  Before timing, one probe per (tree,
 argv) runs `cli.main(ARGV)` in a fresh process and records whether it
@@ -43,6 +44,7 @@ ARGVS = (
     ["types", "--gens", "[[[1,1],[0,1]],[[1,0],[1,1]]]", "--level", "6"],
     ["lifting", "--p", "7"],
     ["modpoly", "3"],
+    ["modpoly", "7"],
     ["hecke-cosets", "6"],
     ["special", "point", "--D", "-3", "--x", "1/2", "--y", "1/2"],
     ["special", "matrix", "--m", "[[2,1],[1,1]]"],
@@ -50,6 +52,7 @@ ARGVS = (
     ["j", "0.1+1.1i"],
     ["axiom", "mod1", "--n", "2", "--trials", "4"],
     ["axiom", "mod2", "--n", "2", "--X0", "5"],
+    ["axiom", "mod2", "--n", "7", "--X0", "5000"],
     ["axiom", "sp", "--D", "-1", "--x", "0", "--y", "1"],
 )
 

@@ -7,7 +7,7 @@ directory and runs one fixed, seeded list of argv (`argvs()`) through
 `heckelab.cli.main` in each tree, this checkout's src/ and REV's, in one
 fresh process per tree.  The list covers every subcommand, integral,
 rational and 5-scaled curves, MOD2 at ramified, huge and complex X0,
-`Phi_n` up to n = 7, and usage errors.  Prints how many argv ran and
+`Phi_n` for n = 1 up to 7, and usage errors.  Prints how many argv ran and
 every argv whose exit code, stdout or stderr differs, naming which of
 the three, and exits 1 if any argv differs, 0 if none does.  Nothing is
 written into the checkout, and the temporary directory is removed.
@@ -129,11 +129,12 @@ def argvs():
         ["axiom", "sp", "--D", "-4", "--x", "0", "--y", "1/2"],
         ["axiom", "sf", "--N", "1000"],
     ]
-    # Phi_n beyond n = 3: built up to psi(n) = 8, refused above
+    # Phi_1, and Phi_n beyond n = 3: built up to psi(n) = 8, refused above
     out += [
-        ["modpoly", "5"], ["modpoly", "7"], ["modpoly", "6"],
-        ["modpoly", "11"],
+        ["modpoly", "1"], ["modpoly", "5"], ["modpoly", "7"],
+        ["modpoly", "6"], ["modpoly", "11"],
         ["axiom", "mod1", "--n", "5", "--trials", "3"],
+        ["axiom", "mod1", "--n", "7", "--trials", "2"],
         ["axiom", "mod2", "--n", "5", "--X0", "5+2i"],
         ["axiom", "mod2", "--n", "7", "--X0", "1728"],
     ]
