@@ -212,8 +212,8 @@ def test_corrupted_j_table_fails_exact_check(monkeypatch, n):
     # j is built from it, and Phi_n's remainders or divisions still see it
     real = qexp._qj_series
 
-    def corrupted(n):
-        out = real(n)
+    def corrupted(terms):
+        out = real(terms)
         out[4] += 1
         return out
 
